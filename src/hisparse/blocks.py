@@ -158,6 +158,9 @@ class HiSupport:
         object.__setattr__(self, "active_blocks", blocks)
         object.__setattr__(self, "entries", ents)
 
+    def __hash__(self) -> int:
+        return hash((self.active_blocks, tuple(self.entries[b] for b in self.active_blocks)))
+
     @classmethod
     def empty(cls) -> "HiSupport":
         return cls((), {})

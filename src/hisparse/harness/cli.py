@@ -35,6 +35,13 @@ from .experiments import (
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hisparse",
@@ -50,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (created if missing); defaults "
                             "to the config's output_path or the cwd")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for the trial pool")
         p.add_argument("--paper-scale", action="store_true",
                        help="use the full-size experiment dimensions")

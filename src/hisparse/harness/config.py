@@ -82,6 +82,9 @@ class ExperimentConfig:
         d = dict(d)
         solver = d.pop("solver", None)
         if solver is not None and not isinstance(solver, SolverConfig):
+            unknown = set(solver) - {f.name for f in dataclasses.fields(SolverConfig)}
+            if unknown:
+                raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
             solver = SolverConfig(**solver)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known

@@ -64,10 +64,12 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
 
     The per-entry noise variance is ||y||^2 / (len(y) * 10^(snr_db/10)),
     so the expected total noise energy is ||y||^2 * 10^(-snr_db/10).
-    snr_db = inf is the noiseless sentinel.
+    snr_db = inf is the noiseless sentinel; nan and -inf are rejected.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    if math.isinf(snr_db):
         return y.copy()
     energy = float(np.vdot(y, y).real)
     if energy == 0.0:

@@ -26,23 +26,20 @@ STOP_LS_FAILURE = "ls-failure"
 class SolverConfig:
     """Iteration and tolerance knobs shared by the pursuit solvers.
 
-    The refit solves the restricted least-squares problem directly (QR/SVD)
-    when the support has at most ls_direct_threshold columns and falls back
-    to conjugate gradients on the normal equations above that.
+    The refit is always one dense least-squares solve (LAPACK gelsd via
+    numpy.linalg.lstsq) on the columns of the selected support, so it is a
+    function of the support alone.
     """
 
     max_iters: int = 50
     support_stall_stop: bool = True
     residual_tol: float = 1e-7
-    ls_tol: float = 1e-10
-    ls_max_iters: int = 1000
-    ls_direct_threshold: int = 600
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.ls_max_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if min(self.residual_tol, self.ls_tol) < 0:
-            raise ValueError("tolerances must be >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.residual_tol < 0:
+            raise ValueError("residual_tol must be >= 0")
 
 
 @dataclass
@@ -53,17 +50,6 @@ class SolverResult:
     residual_norm: float
     converged: bool
     stop_reason: str
-
-
-@dataclass
-class _LsInfo:
-    converged: bool
-    rank_deficient: bool
-    iterations: int
-
-    @property
-    def failed(self) -> bool:
-        return self.rank_deficient or not self.converged
 
 
 def _assemble_restricted(H: HierarchicalOperator, support: HiSupport) -> np.ndarray:
@@ -88,118 +74,78 @@ def _scatter(H: HierarchicalOperator, support: HiSupport, values: np.ndarray) ->
     return out
 
 
-def _gather(x: BlockVector, support: HiSupport) -> np.ndarray:
-    parts = [x.block(b)[np.asarray(support.entries[b], dtype=np.intp)]
-             for b in support.active_blocks]
-    if not parts:
-        return np.zeros(0, dtype=np.complex128)
-    return np.concatenate(parts)
-
-
 def _restricted_lstsq(
-    H: HierarchicalOperator,
-    y: np.ndarray,
-    support: HiSupport,
-    cfg: SolverConfig,
-    warm: BlockVector | None = None,
-) -> tuple[BlockVector, _LsInfo]:
+    H: HierarchicalOperator, y: np.ndarray, support: HiSupport
+) -> tuple[np.ndarray, bool]:
     """Minimize ||y - H z|| over z supported in `support`.
 
-    Small systems go through a dense factorization; larger ones run
-    conjugate gradients on the normal equations, warm-started at `warm`
-    (whose residual they can only improve)."""
+    Returns the minimizer's values on the support in ascending column order
+    (scatter them with _scatter) and whether the selected columns are rank
+    deficient.  One dense lstsq on the assembled columns: the result depends
+    on the support alone, which the pursuit's cycle skip relies on."""
     support.validate_for(H.structure)
     ncols = support.num_entries
     if ncols == 0:
-        return BlockVector.zeros(H.structure), _LsInfo(True, False, 0)
+        return np.zeros(0, dtype=np.complex128), False
+    sol, _, rank, _ = np.linalg.lstsq(_assemble_restricted(H, support), y, rcond=None)
+    return sol, rank < ncols
 
-    if ncols <= cfg.ls_direct_threshold:
-        R = _assemble_restricted(H, support)
-        sol, _, rank, _ = np.linalg.lstsq(R, y, rcond=None)
-        return _scatter(H, support, sol), _LsInfo(True, rank < ncols, 1)
 
-    # CGNR on the support-restricted system.
-    def forward(z):
-        return H.apply(_scatter(H, support, z))
-
-    def adjoint(r):
-        return _gather(H.adjoint_apply(r), support)
-
-    z = _gather(warm, support) if warm is not None else np.zeros(ncols, np.complex128)
-    b_norm = float(np.linalg.norm(adjoint(y)))
-    if b_norm == 0.0:
-        return BlockVector.zeros(H.structure), _LsInfo(True, False, 0)
-    r = y - forward(z)
-    g = adjoint(r)
-    gg = float(np.vdot(g, g).real)
-    p = g.copy()
-    rank_deficient = False
-    it = 0
-    while np.sqrt(gg) > cfg.ls_tol * b_norm and it < cfg.ls_max_iters:
-        q = forward(p)
-        qq = float(np.vdot(q, q).real)
-        if qq <= 1e-30 * float(np.vdot(p, p).real):
-            rank_deficient = True
-            break
-        alpha = gg / qq
-        z = z + alpha * p
-        r = r - alpha * q
-        g = adjoint(r)
-        gg_new = float(np.vdot(g, g).real)
-        p = g + (gg_new / gg) * p
-        gg = gg_new
-        it += 1
-    converged = np.sqrt(gg) <= cfg.ls_tol * b_norm
-    return _scatter(H, support, z), _LsInfo(converged, rank_deficient, it)
+def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    if y.shape[0] != H.out_dim:
+        raise DimensionError("measurement length does not match the operator")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    return y
 
 
 def least_squares_on_support(
-    H: HierarchicalOperator, y: np.ndarray, support: HiSupport, cfg: SolverConfig = SolverConfig()
+    H: HierarchicalOperator, y: np.ndarray, support: HiSupport
 ) -> BlockVector:
     """Least-squares fit of y on the given support; zero elsewhere."""
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.shape[0] != H.out_dim:
-        raise DimensionError("measurement length does not match the operator")
-    z, _ = _restricted_lstsq(H, y, support, cfg)
-    return z
+    sol, _ = _restricted_lstsq(H, _measurements(H, y), support)
+    return _scatter(H, support, sol)
 
 
 def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.shape[0] != H.out_dim:
-        raise DimensionError("measurement length does not match the operator")
+    y = _measurements(H, y)
     y_norm = float(np.linalg.norm(y))
     x = BlockVector.zeros(H.structure)
-    support = HiSupport.empty()
-    prev_support = None
-    residual = y_norm
-    converged = False
-    stop = STOP_MAX_ITERS
-    iterations = 0
+    r = y  # residual of x = 0
+    # every support refit so far -> (iteration, refit values, residual norm)
+    refits: dict[HiSupport, tuple[int, np.ndarray, float]] = {}
+    supports: list[HiSupport] = []  # supports[t - 1] was refit at iteration t
     for t in range(1, cfg.max_iters + 1):
-        iterations = t
-        grad = H.adjoint_apply(y - H.apply(x))
+        grad = H.adjoint_apply(r)
         u = BlockVector(H.structure, x.coeffs + grad.coeffs)
-        x_thr, new_support = project(u)
-        if cfg.support_stall_stop and new_support == prev_support:
-            # the previous refit already solved this support
-            support = new_support
-            converged = True
-            stop = STOP_SUPPORT_REPEAT
-            break
-        x, info = _restricted_lstsq(H, y, new_support, cfg, warm=x_thr)
+        _, new_support = project(u)
+        seen = refits.get(new_support)
+        if seen is not None:
+            j = seen[0]
+            if cfg.support_stall_stop and j == t - 1:
+                # the previous refit already solved this support
+                return SolverResult(x, new_support, t, residual, True, STOP_SUPPORT_REPEAT)
+            # A refit depends on its support alone, so iterations j .. t-1
+            # now repeat with period t - j until max_iters; return the state
+            # the loop would end in.
+            end = supports[j - 1 + (cfg.max_iters - j) % (t - j)]
+            _, sol, res = refits[end]
+            return SolverResult(
+                _scatter(H, end, sol), end, cfg.max_iters, res, False, STOP_MAX_ITERS
+            )
         support = new_support
-        prev_support = new_support
-        residual = float(np.linalg.norm(y - H.apply(x)))
-        if info.failed:
-            converged = False
-            stop = STOP_LS_FAILURE
-            break
+        sol, rank_deficient = _restricted_lstsq(H, y, support)
+        x = _scatter(H, support, sol)
+        r = y - H.apply(x)
+        residual = float(np.linalg.norm(r))
+        refits[support] = (t, sol, residual)
+        supports.append(support)
+        if rank_deficient:
+            return SolverResult(x, support, t, residual, False, STOP_LS_FAILURE)
         if residual <= cfg.residual_tol * y_norm:
-            converged = True
-            stop = STOP_RESIDUAL
-            break
-    return SolverResult(x, support, iterations, residual, converged, stop)
+            return SolverResult(x, support, t, residual, True, STOP_RESIDUAL)
+    return SolverResult(x, support, cfg.max_iters, residual, False, STOP_MAX_ITERS)
 
 
 def hihtp(
@@ -214,8 +160,15 @@ def hihtp(
     (s, sigma)-sparse approximation of u to get the next support; refit by
     least squares on that support.  Stops on support repetition, on the
     relative residual dropping below residual_tol, or at max_iters; a
-    failed refit (rank-deficient or non-converged) stops with
-    stop_reason "ls-failure" instead of raising.
+    rank-deficient refit stops with stop_reason "ls-failure" instead of
+    raising.  Non-finite measurements raise ValueError.
+
+    The refit depends on the support alone, so once thresholding returns a
+    support refit at an earlier iteration j (other than the one before,
+    which is the support-repetition stop), the iterates repeat with period
+    t - j until max_iters.  That tail is not run: the result is the state
+    the loop would end in, with iterations == max_iters, stop_reason
+    "max-iters" and converged False, exactly as if every iteration ran.
     """
     k.validate_for(H.structure)
     return _pursuit(H, y, lambda u: hi_threshold(u, k), cfg)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from hisparse.blocks import BlockStructure, BlockVector, HiSparsity
+from hisparse.blocks import BlockStructure, BlockVector, HiSparsity, HiSupport
 
 
 def dense_by_entries(A, Bs):
@@ -95,3 +95,76 @@ def random_hi_sparse(rng, structure: BlockStructure, k: HiSparsity) -> BlockVect
         vals = rng.standard_normal(sig) + 1j * rng.standard_normal(sig)
         x.block(b)[np.asarray(cols, dtype=np.intp)] = vals
     return x
+
+
+def reference_pursuit(H, y, project, max_iters=50, support_stall_stop=True,
+                      residual_tol=1e-7):
+    """Reference pursuit loop that runs every iteration: no periodic-tail
+    skip, the residual recomputed after each refit, and the refit a dense
+    lstsq on the assembled support columns.
+
+    Returns (estimate, support, iterations, residual_norm, converged,
+    stop_reason)."""
+    def refit(support):
+        cols = [np.kron(H.A[:, b : b + 1],
+                        H.Bs[b][:, np.asarray(support.entries[b], dtype=np.intp)])
+                for b in support.active_blocks if support.entries[b]]
+        x = BlockVector.zeros(H.structure)
+        if not cols:
+            return x, False
+        sol, _, rank, _ = np.linalg.lstsq(np.hstack(cols), y, rcond=None)
+        pos = 0
+        for b in support.active_blocks:
+            local = np.asarray(support.entries[b], dtype=np.intp)
+            x.block(b)[local] = sol[pos : pos + local.size]
+            pos += local.size
+        return x, rank < sol.size
+
+    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    y_norm = float(np.linalg.norm(y))
+    x = BlockVector.zeros(H.structure)
+    support = HiSupport.empty()
+    prev_support = None
+    residual = y_norm
+    converged = False
+    stop = "max-iters"
+    iterations = 0
+    for t in range(1, max_iters + 1):
+        iterations = t
+        grad = H.adjoint_apply(y - H.apply(x))
+        u = BlockVector(H.structure, x.coeffs + grad.coeffs)
+        x_thr, new_support = project(u)
+        if support_stall_stop and new_support == prev_support:
+            support = new_support
+            converged = True
+            stop = "support-repeat"
+            break
+        x, failed = refit(new_support)
+        support = new_support
+        prev_support = new_support
+        residual = float(np.linalg.norm(y - H.apply(x)))
+        if failed:
+            converged = False
+            stop = "ls-failure"
+            break
+        if residual <= residual_tol * y_norm:
+            converged = True
+            stop = "residual"
+            break
+    return x, support, iterations, residual, converged, stop
+
+
+def flat_top_k(structure: BlockStructure, k_total: int):
+    """Unstructured top-k_total projection (lower index wins ties) as a
+    pursuit projection: u -> (thresholded u, its HiSupport)."""
+    def project(u: BlockVector):
+        keep = sorted(sorted(range(structure.total_dim),
+                             key=lambda g: (-abs(u.coeffs[g]), g))[:k_total])
+        out = BlockVector.zeros(structure)
+        entries = {}
+        for g in keep:
+            out.coeffs[g] = u.coeffs[g]
+            b = max(i for i in range(structure.num_blocks) if structure.offset(i) <= g)
+            entries.setdefault(b, []).append(g - structure.offset(b))
+        return out, HiSupport(tuple(entries), entries)
+    return project

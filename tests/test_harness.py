@@ -147,6 +147,14 @@ class TestNoise:
             measured_db = 10 * np.log10(np.mean(ratios))
             assert abs(measured_db - target) <= 0.5
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(np.ones(4, dtype=complex), math.nan, 0)
+
+    def test_minus_infinite_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(np.ones(4, dtype=complex), -math.inf, 0)
+
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(4), 10.0, 0)
@@ -325,6 +333,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"scenario": "recovery-grid", "bogus": 1})
 
+    def test_removed_solver_keys_rejected(self):
+        d = tiny_grid_config().to_dict()
+        d["solver"].update(ls_tol=1e-10, ls_max_iters=1000, ls_direct_threshold=600)
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict(d)
+        for key in ("ls_tol", "ls_max_iters", "ls_direct_threshold"):
+            assert key in str(err.value)
+
     def test_presets_valid(self):
         for scenario in ("recovery-grid", "block-detection", "theorem-verify"):
             for paper in (False, True):
@@ -408,3 +424,11 @@ class TestCli:
         bad.write_text("{not json")
         with pytest.raises(SystemExit):
             cli_main(["recovery-grid", "--config", str(bad), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["recovery-grid", "--threads", threads, "--out", str(tmp_path)])
+        assert err.value.code == 2  # argparse usage error
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "trials.csv").exists()

@@ -14,6 +14,7 @@ from hisparse.ensembles import gaussian_matrix, spawn_seedseq, subsampled_dft
 from hisparse.errors import DimensionError
 from hisparse.operators import HierarchicalOperator
 from hisparse.riplab import hirip_constant_exact
+import hisparse.solvers as solvers
 from hisparse.solvers import (
     STOP_LS_FAILURE,
     STOP_MAX_ITERS,
@@ -26,7 +27,7 @@ from hisparse.solvers import (
 )
 from hisparse.harness.signals import generate_signal
 
-from oracles import enumerate_hi_patterns, random_operator
+from oracles import enumerate_hi_patterns, flat_top_k, random_operator, reference_pursuit
 
 
 def identity_operator(n):
@@ -74,18 +75,6 @@ class TestLeastSquares:
             want = np.linalg.solve(r, q.conj().T @ y)
             got = np.concatenate([z.block(b)[:3] for b in (0, 1, 3)])
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-
-    def test_cg_path_matches_direct(self):
-        rng = np.random.default_rng(4)
-        A, Bs = random_operator(rng, 5, 4, 8, (3, 3, 3, 3))
-        H = HierarchicalOperator(A, Bs)
-        sup = HiSupport((0, 2), {0: (0, 2), 2: (1,)})
-        y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        direct = least_squares_on_support(H, y, sup, SolverConfig())
-        cg = least_squares_on_support(
-            H, y, sup, SolverConfig(ls_direct_threshold=0, ls_tol=1e-12)
-        )
-        assert np.linalg.norm(cg.coeffs - direct.coeffs) <= 1e-8
 
     def test_empty_support(self):
         H = identity_operator(3)
@@ -139,7 +128,7 @@ class TestHihtp:
         # the refit never does worse than the thresholded gradient iterate
         rng = np.random.default_rng(7)
         k = HiSparsity.uniform(2, 2, 6)
-        cfg = SolverConfig()
+        tol = 1e-10  # relative to ||y||; the refit is a dense least-squares solve
         for trial in range(20):
             H = desk_operator(300 + trial, M=5, N=6, m=6, n=8)
             y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
@@ -148,10 +137,10 @@ class TestHihtp:
                 grad = H.adjoint_apply(y - H.apply(x))
                 u = BlockVector(H.structure, x.coeffs + grad.coeffs)
                 x_thr, sup = hi_threshold(u, k)
-                refit = least_squares_on_support(H, y, sup, cfg)
+                refit = least_squares_on_support(H, y, sup)
                 r_refit = np.linalg.norm(y - H.apply(refit))
                 r_thr = np.linalg.norm(y - H.apply(x_thr))
-                assert r_refit <= r_thr + cfg.ls_tol * np.linalg.norm(y)
+                assert r_refit <= r_thr + tol * np.linalg.norm(y)
                 x = refit
 
     def test_deterministic(self):
@@ -279,3 +268,97 @@ class TestSolverConfig:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=-1.0)
+
+
+class TestNonFiniteMeasurements:
+    def test_hihtp_rejects_nan(self):
+        H = desk_operator(5, M=4, N=4, m=6, n=8)
+        with pytest.raises(ValueError, match="finite"):
+            hihtp(H, np.full(H.out_dim, np.nan), HiSparsity.uniform(2, 2, 4))
+
+    def test_htp_flat_rejects_inf(self):
+        H = desk_operator(5, M=4, N=4, m=6, n=8)
+        y = np.ones(H.out_dim, dtype=np.complex128)
+        y[3] = complex(np.inf, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            htp_flat(H, y, 4)
+
+    def test_least_squares_rejects_nan(self):
+        H = identity_operator(3)
+        sup = HiSupport((0,), {0: (1,)})
+        with pytest.raises(ValueError, match="finite"):
+            least_squares_on_support(H, np.array([1.0, np.nan, 0.0]), sup)
+
+
+class TestCycleSkip:
+    """Once a support recurs the run is periodic and its tail is skipped; the
+    result must be bit-identical to running every iteration
+    (oracles.reference_pursuit)."""
+
+    @staticmethod
+    def noisy_instance(seed, M=5, N=6, m=6, n=8):
+        H = desk_operator(600 + seed, M=M, N=N, m=m, n=n)
+        rng = np.random.default_rng(seed)
+        return H, rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+
+    @staticmethod
+    def count_refits(monkeypatch):
+        calls = []
+        refit = solvers._restricted_lstsq
+
+        def counting(*args):
+            calls.append(args[2])
+            return refit(*args)
+
+        monkeypatch.setattr(solvers, "_restricted_lstsq", counting)
+        return calls
+
+    @staticmethod
+    def assert_matches_reference(res, H, y, project, cfg):
+        x, support, iterations, residual, converged, stop = reference_pursuit(
+            H, y, project, cfg.max_iters, cfg.support_stall_stop, cfg.residual_tol
+        )
+        np.testing.assert_array_equal(res.estimate.coeffs, x.coeffs)
+        assert res.support == support
+        assert res.iterations == iterations
+        assert res.residual_norm == residual
+        assert res.stop_reason == stop
+        assert res.converged == converged
+
+    # (instance seed, shape, budget (s, sigma)): period 2 from iteration 1,
+    # and period 6 from iteration 1
+    @pytest.mark.parametrize("seed, shape, budget", [
+        (5, (5, 6, 6, 8), (2, 2)),
+        (148, (4, 8, 6, 8), (3, 2)),
+    ])
+    @pytest.mark.parametrize("max_iters", [9, 10, 50])
+    def test_hihtp_period_at_least_two(self, monkeypatch, seed, shape, budget, max_iters):
+        H, y = self.noisy_instance(seed, *shape)
+        k = HiSparsity.uniform(*budget, H.num_blocks)
+        cfg = SolverConfig(max_iters=max_iters)
+        calls = self.count_refits(monkeypatch)
+        res = hihtp(H, y, k, cfg)
+        assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
+        self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
+
+    @pytest.mark.parametrize("max_iters", [9, 10, 50])
+    def test_htp_flat_period_two(self, monkeypatch, max_iters):
+        H, y = self.noisy_instance(30)
+        cfg = SolverConfig(max_iters=max_iters)
+        calls = self.count_refits(monkeypatch)
+        res = htp_flat(H, y, 4, cfg)
+        assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
+        self.assert_matches_reference(res, H, y, flat_top_k(H.structure, 4), cfg)
+
+    def test_fixed_point_without_stall_stop(self, monkeypatch):
+        # with the stall stop this instance stops on a support repeat, so
+        # without it the repeat is a cycle of period 1
+        H, y = self.noisy_instance(0)
+        k = HiSparsity.uniform(2, 2, 6)
+        assert hihtp(H, y, k).stop_reason == STOP_SUPPORT_REPEAT
+        cfg = SolverConfig(max_iters=20, support_stall_stop=False)
+        calls = self.count_refits(monkeypatch)
+        res = hihtp(H, y, k, cfg)
+        assert len(calls) < res.iterations == 20
+        assert len(set(calls)) == len(calls)  # no support was refit twice
+        self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
