@@ -173,13 +173,26 @@ class HiSupport:
         )
 
     @classmethod
-    def of_nonzeros(cls, x: BlockVector) -> "HiSupport":
-        entries = {}
-        for i in range(x.structure.num_blocks):
-            nz = np.flatnonzero(x.block(i) != 0)
-            if nz.size:
-                entries[i] = tuple(int(c) for c in nz)
+    def of_columns(cls, structure: BlockStructure, cols) -> "HiSupport":
+        """The support covering the given distinct global coordinate
+        indices (the inverse of column_indices)."""
+        cols = np.sort(np.asarray(cols, dtype=np.intp))
+        if not cols.size:
+            return cls.empty()
+        if cols[0] < 0 or cols[-1] >= structure.total_dim:
+            raise IndexError(f"column indices must lie in [0, {structure.total_dim})")
+        offsets = np.asarray(structure._offsets)
+        blocks = np.searchsorted(offsets, cols, side="right") - 1
+        cuts = np.flatnonzero(np.diff(blocks)) + 1
+        entries = {
+            int(b[0]): tuple(local.tolist())
+            for b, local in zip(np.split(blocks, cuts), np.split(cols - offsets[blocks], cuts))
+        }
         return cls(tuple(entries), entries)
+
+    @classmethod
+    def of_nonzeros(cls, x: BlockVector) -> "HiSupport":
+        return cls.of_columns(x.structure, np.flatnonzero(x.coeffs))
 
     @property
     def num_entries(self) -> int:
@@ -211,9 +224,12 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     provisionally; blocks are scored by the squared 2-norm of their kept
     entries; the s top-scoring blocks survive and everything else is zeroed.
     Ties (equal magnitudes or equal scores) keep the lower index.
+    Non-finite coefficients raise ValueError.
     """
     st = x.structure
     k.validate_for(st)
+    if not np.isfinite(x.coeffs).all():
+        raise ValueError("cannot threshold non-finite coefficients")
     kept: list[np.ndarray] = []
     scores = np.zeros(st.num_blocks)
     for i in range(st.num_blocks):
@@ -253,12 +269,9 @@ def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:
 
 def restrict(x: BlockVector, support: HiSupport) -> BlockVector:
     """Copy of x with every coordinate outside the support zeroed."""
-    support.validate_for(x.structure)
+    cols = support.column_indices(x.structure)
     out = BlockVector.zeros(x.structure)
-    for b in support.active_blocks:
-        cols = np.asarray(support.entries[b], dtype=np.intp)
-        if cols.size:
-            out.block(b)[cols] = x.block(b)[cols]
+    out.coeffs[cols] = x.coeffs[cols]
     return out
 
 

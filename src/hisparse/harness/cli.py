@@ -27,6 +27,7 @@ from .config import (
     preset,
 )
 from .experiments import (
+    BOUND_FAMILIES,
     run_block_detection,
     run_recovery_grid,
     run_theorem_verify,
@@ -101,10 +102,9 @@ def main(argv=None) -> int:
         report = run_theorem_verify(cfg, threads=args.threads)
         _dump_json(report, out / "report.json")
         print(f"report.json written to {out}")
-        for family in ("product_bound", "column_necessity", "mixing_necessity",
-                       "trace_inequality"):
-            info = report[family]
-            print(f"  {family}: {info['violations']} violations "
+        for family in BOUND_FAMILIES:
+            info = report[family.key]
+            print(f"  {family.key}: {info['violations']} violations "
                   f"in {info['instances']} instances")
         print(f"passed: {report['passed']}")
         return 0 if report["passed"] else 1

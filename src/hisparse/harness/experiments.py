@@ -10,15 +10,17 @@ not depend on execution order and a run is reproducible byte-for-byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..blocks import BlockStructure, BlockVector, HiSparsity
+from ..blocks import BlockStructure, BlockVector, HiSparsity, HiSupport
 from ..ensembles import (
     as_rng,
     complex_gaussian,
@@ -184,14 +186,6 @@ def summarize(records) -> list[dict]:
     return rows
 
 
-def _active_blocks_of(x: BlockVector) -> set[int]:
-    return {
-        i
-        for i in range(x.structure.num_blocks)
-        if np.any(x.block(i) != 0)
-    }
-
-
 def _run_pool(worker, args_list, threads: int) -> list:
     if threads <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
@@ -228,7 +222,8 @@ def _recovery_trial(args) -> TrialRecord:
 
     err = mse(x_true, res.estimate)
     floor = noise_floor(y_clean, snr_db, x_true)
-    rate = detection_rate(_active_blocks_of(x_true), res.support.active_blocks, s)
+    true_active = HiSupport.of_nonzeros(x_true).active_blocks
+    rate = detection_rate(true_active, res.support.active_blocks, s)
     return TrialRecord(
         scenario=SCENARIO_RECOVERY, s=s, sigma=sigma, M=M, N=cfg.N, m=cfg.m,
         snr_db=snr_db, mode=MODE_UNIFORM, trial=trial,
@@ -306,7 +301,7 @@ def _detection_trial(args) -> list[TrialRecord]:
     )
     y_clean = H_uniform.apply(x_true)
     y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
-    true_active = _active_blocks_of(x_true)
+    true_active = HiSupport.of_nonzeros(x_true).active_blocks
     floor = noise_floor(y_clean, snr_db, x_true)
     fingerprint = stream_fingerprint(seed, *ids)
 
@@ -376,175 +371,159 @@ def _sample_block_matrix(rng, m, n):
     return gaussian_matrix(m, n, rng)
 
 
-def _product_bound_instance(cfg: ExperimentConfig, index: int):
-    rng = as_rng(spawn_seedseq(cfg.master_seed, _SC_THEOREM, 10, index))
-    cap_n = cfg.block_lengths if isinstance(cfg.block_lengths, int) else max(cfg.block_lengths)
-    N = int(rng.integers(2, cfg.N + 1))
-    M = int(rng.integers(2, max(cfg.M) + 1))
-    m = int(rng.integers(2, cfg.m + 1))
-    sizes = tuple(int(rng.integers(2, cap_n + 1)) for _ in range(N))
-    s = int(rng.integers(1, min(max(cfg.s_values), N) + 1))
-    sigma = tuple(
-        int(rng.integers(1, min(max(cfg.sigma_values), sz) + 1)) for sz in sizes
+def _random_instance(rng, N, M, m, n, s, sigma):
+    """Random operator and budget, each dimension drawn up to its cap:
+    N blocks, an M x N Gaussian mixing matrix, m x n_i block matrices,
+    s active blocks and sigma_i <= sigma coordinates in block i."""
+    N = int(rng.integers(2, N + 1))
+    M = int(rng.integers(2, M + 1))
+    m = int(rng.integers(2, m + 1))
+    sizes = tuple(int(rng.integers(2, n + 1)) for _ in range(N))
+    s = int(rng.integers(1, min(s, N) + 1))
+    sig = tuple(int(rng.integers(1, min(sigma, sz) + 1)) for sz in sizes)
+    H = HierarchicalOperator(
+        gaussian_matrix(M, N, rng),
+        tuple(_sample_block_matrix(rng, m, sz) for sz in sizes),
     )
+    return H, HiSparsity(s, sig)
+
+
+def _product_bound(cfg: ExperimentConfig, rng, tol: float):
+    """Exact hierarchical constant of a random operator against the product
+    bound on its constituents; None when an enumeration exceeds its budget."""
+    cap_n = cfg.block_lengths if isinstance(cfg.block_lengths, int) else max(cfg.block_lengths)
+    H, k = _random_instance(
+        rng, cfg.N, max(cfg.M), cfg.m, cap_n, max(cfg.s_values), max(cfg.sigma_values)
+    )
+    try:
+        hi = hirip_constant_exact(H, k)
+        da = rip_constant_exact(H.A, k.s).delta
+        dbs = [rip_constant_exact(B, sig).delta for B, sig in zip(H.Bs, k.sigma)]
+    except BudgetError as exc:
+        log.warning("product-bound instance skipped: %s", exc)
+        return None
+    slack = hirip_bound(da, dbs) - hi.delta
+    return slack, slack >= -tol
+
+
+def _column_necessity(cfg: ExperimentConfig, rng, tol: float):
+    """Every column-weighted block matrix inherits the hierarchical constant."""
+    rep = column_necessity_check(*_random_instance(rng, 6, 8, 8, 5, 2, 2), tol=tol)
+    return rep["min_slack"], rep["passed"]
+
+
+def _mixing_necessity(cfg: ExperimentConfig, rng, tol: float):
+    """Shared-block necessity bound for the mixing matrix; None when the
+    premise fails and the bound is vacuous."""
+    N = int(rng.integers(2, 7))
+    M = int(rng.integers(2, 9))
+    m = int(rng.integers(2, 9))
+    n = int(rng.integers(2, 7))
+    s = int(rng.integers(1, min(3, N) + 1))
+    sig = int(rng.integers(1, min(2, n) + 1))
+    B = _sample_block_matrix(rng, m, n)
+    H = HierarchicalOperator(gaussian_matrix(M, N, rng), (B,) * N)
+    k = HiSparsity.uniform(s, sig, N)
+    pos = np.sort(rng.choice(n, size=sig, replace=False))
+    g = np.zeros(n, dtype=np.complex128)
+    g[pos] = complex_gaussian(rng, sig)
+    g /= np.linalg.norm(g)
+    active = tuple(int(b) for b in np.sort(rng.choice(N, size=s, replace=False)))
+    rep = prop1_check(H, k, active, {b: g for b in active}, tol=tol)
+    if rep["status"] != "checked":
+        return None
+    return rep["bound"] - rep["delta_a"], rep["passed"]
+
+
+def _trace_inequality(cfg: ExperimentConfig, rng, tol: float):
+    """Trace inequality for a PSD matrix with a random square pattern."""
+    N = int(rng.integers(2, 9))
+    M = int(rng.integers(2, 11))
+    s = int(rng.integers(1, min(4, N) + 1))
     A = gaussian_matrix(M, N, rng)
-    Bs = tuple(_sample_block_matrix(rng, m, sz) for sz in sizes)
-    return HierarchicalOperator(A, Bs), HiSparsity(s, sigma)
+    pattern = np.sort(rng.choice(N, size=s, replace=False))
+    rank = int(rng.integers(1, s + 1))
+    Y = complex_gaussian(rng, (s, rank))
+    X = np.zeros((N, N), dtype=np.complex128)
+    X[np.ix_(pattern, pattern)] = Y @ Y.conj().T
+    rep = lemma1_check(A, X, tol=tol)
+    return rep["delta"] * rep["nuclear_norm"] - rep["deviation"], rep["passed"]
+
+
+@dataclass(frozen=True)
+class BoundFamily:
+    """One row of the theorem-verify table.
+
+    check(cfg, rng, tol) samples one instance from rng and returns
+    (slack, passed), or None when the instance yields no slack; those are
+    counted under none_key.  Instance j of a family draws from
+    SeedSequence(master_seed, theorem scenario, stream, j).  Only the
+    product bound sizes its instances from cfg; the other families draw
+    fixed desk-scale shapes.
+    """
+
+    key: str
+    check: Callable
+    stream: int
+    cap: int | None  # at most this many instances; None: cfg.trials
+    tol: float
+    none_key: str | None
+
+
+BOUND_FAMILIES = (
+    BoundFamily("product_bound", _product_bound, 10, None, 1e-10, "skipped"),
+    BoundFamily("column_necessity", _column_necessity, 11, 100, 1e-10, None),
+    BoundFamily("mixing_necessity", _mixing_necessity, 12, 50, 1e-9, "vacuous"),
+    BoundFamily("trace_inequality", _trace_inequality, 13, 100, 1e-9, None),
+)
+
+
+def _bound_instance(args):
+    cfg, row, j = args
+    fam = BOUND_FAMILIES[row]
+    rng = as_rng(spawn_seedseq(cfg.master_seed, _SC_THEOREM, fam.stream, j))
+    return fam.check(cfg, rng, fam.tol)
 
 
 def run_theorem_verify(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Verify the isometry bounds on random desk-scale instances.
 
-    Four families: the product bound on the hierarchical constant, the
-    column-necessity inequality, the shared-block necessity bound for the
-    mixing matrix (plus the fixed orthogonal-subspace construction where
-    the premise is deliberately vacuous), and the trace inequality for
-    pattern-sparse Hermitian matrices.  Returns the JSON-ready report.
+    One pass over BOUND_FAMILIES: the product bound on the hierarchical
+    constant, the column-necessity inequality, the shared-block necessity
+    bound for the mixing matrix (plus the fixed orthogonal-subspace
+    construction where the premise is deliberately vacuous), and the trace
+    inequality for pattern-sparse Hermitian matrices.  Instances run on the
+    trial pool; the report does not depend on `threads`.  Returns the
+    JSON-ready report.
     """
     if cfg.scenario != SCENARIO_THEOREM:
         raise ValueError("config is not a theorem-verify config")
-    del threads  # enumeration is numpy-batched; trials are quick and serial
-    tol_product, tol_necessity, tol_mixing, tol_trace = 1e-10, 1e-10, 1e-9, 1e-9
+    counts = [cfg.trials if f.cap is None else min(f.cap, cfg.trials) for f in BOUND_FAMILIES]
+    tasks = [(cfg, row, j) for row, n in enumerate(counts) for j in range(n)]
+    outcomes = iter(_run_pool(_bound_instance, tasks, threads))
+    report = {"scenario": SCENARIO_THEOREM, "master_seed": cfg.master_seed}
+    for fam, n in zip(BOUND_FAMILIES, counts):
+        done = [o for o in itertools.islice(outcomes, n) if o is not None]
+        report[fam.key] = {
+            "instances": n,
+            "violations": sum(not passed for _, passed in done),
+            "worst_slack": min((slack for slack, _ in done), default=math.inf),
+            "tolerance": fam.tol,
+        }
+        if fam.none_key is not None:
+            report[fam.key][fam.none_key] = n - len(done)
 
-    # --- hierarchical constant vs product bound
-    pb_count = cfg.trials
-    pb_worst = math.inf
-    pb_violations = 0
-    pb_skipped = 0
-    for j in range(pb_count):
-        try:
-            H, k = _product_bound_instance(cfg, j)
-            hi = hirip_constant_exact(H, k)
-            da = rip_constant_exact(H.A, k.s).delta
-            dbs = [
-                rip_constant_exact(H.Bs[i], k.sigma[i]).delta
-                for i in range(H.num_blocks)
-            ]
-            slack = hirip_bound(da, dbs) - hi.delta
-        except BudgetError as exc:
-            log.warning("product-bound instance %d skipped: %s", j, exc)
-            pb_skipped += 1
-            continue
-        pb_worst = min(pb_worst, slack)
-        if slack < -tol_product:
-            pb_violations += 1
-
-    # --- column necessity
-    nc_count = min(100, cfg.trials)
-    nc_worst = math.inf
-    nc_violations = 0
-    for j in range(nc_count):
-        rng = as_rng(spawn_seedseq(cfg.master_seed, _SC_THEOREM, 11, j))
-        N = int(rng.integers(2, 7))
-        M = int(rng.integers(2, 9))
-        m = int(rng.integers(2, 9))
-        sizes = tuple(int(rng.integers(2, 6)) for _ in range(N))
-        s = int(rng.integers(1, min(2, N) + 1))
-        sigma = tuple(int(rng.integers(1, min(2, sz) + 1)) for sz in sizes)
-        H = HierarchicalOperator(
-            gaussian_matrix(M, N, rng),
-            tuple(_sample_block_matrix(rng, m, sz) for sz in sizes),
-        )
-        rep = column_necessity_check(H, HiSparsity(s, sigma), tol=tol_necessity)
-        nc_worst = min(nc_worst, rep["min_slack"])
-        if not rep["passed"]:
-            nc_violations += 1
-
-    # --- shared-block necessity bound for the mixing matrix
-    mn_count = min(50, cfg.trials)
-    mn_worst = math.inf
-    mn_checked = 0
-    mn_vacuous = 0
-    mn_violations = 0
-    for j in range(mn_count):
-        rng = as_rng(spawn_seedseq(cfg.master_seed, _SC_THEOREM, 12, j))
-        N = int(rng.integers(2, 7))
-        M = int(rng.integers(2, 9))
-        m = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 7))
-        s = int(rng.integers(1, min(3, N) + 1))
-        sig = int(rng.integers(1, min(2, n) + 1))
-        B = _sample_block_matrix(rng, m, n)
-        H = HierarchicalOperator(gaussian_matrix(M, N, rng), (B,) * N)
-        k = HiSparsity.uniform(s, sig, N)
-        pos = np.sort(rng.choice(n, size=sig, replace=False))
-        g = np.zeros(n, dtype=np.complex128)
-        g[pos] = complex_gaussian(rng, sig)
-        g /= np.linalg.norm(g)
-        active = tuple(int(b) for b in np.sort(rng.choice(N, size=s, replace=False)))
-        rep = prop1_check(H, k, active, {b: g for b in active}, tol=tol_mixing)
-        if rep["status"] == "checked":
-            mn_checked += 1
-            mn_worst = min(mn_worst, rep["bound"] - rep["delta_a"])
-            if not rep["passed"]:
-                mn_violations += 1
-        else:
-            mn_vacuous += 1
-    ortho = _orthogonal_subspace_case(tol_mixing)
-
-    # --- trace inequality
-    ti_count = min(100, cfg.trials)
-    ti_worst = math.inf
-    ti_violations = 0
-    for j in range(ti_count):
-        rng = as_rng(spawn_seedseq(cfg.master_seed, _SC_THEOREM, 13, j))
-        N = int(rng.integers(2, 9))
-        M = int(rng.integers(2, 11))
-        s = int(rng.integers(1, min(4, N) + 1))
-        A = gaussian_matrix(M, N, rng)
-        pattern = np.sort(rng.choice(N, size=s, replace=False))
-        rank = int(rng.integers(1, s + 1))
-        Y = complex_gaussian(rng, (s, rank))
-        X = np.zeros((N, N), dtype=np.complex128)
-        X[np.ix_(pattern, pattern)] = Y @ Y.conj().T
-        rep = lemma1_check(A, X, tol=tol_trace)
-        ti_worst = min(
-            ti_worst, rep["delta"] * rep["nuclear_norm"] - rep["deviation"]
-        )
-        if not rep["passed"]:
-            ti_violations += 1
-
-    passed = (
-        pb_violations == 0
-        and nc_violations == 0
-        and mn_violations == 0
-        and ti_violations == 0
+    mixing = report["mixing_necessity"]
+    mixing["checked"] = mixing["instances"] - mixing["vacuous"]
+    if not mixing["checked"]:
+        mixing["worst_slack"] = None
+    ortho = mixing["orthogonal_subspace_case"] = _orthogonal_subspace_case(mixing["tolerance"])
+    report["passed"] = (
+        all(report[f.key]["violations"] == 0 for f in BOUND_FAMILIES)
         and ortho["status"] == "premise violated, bound vacuous"
         and ortho["delta_hirip"] <= 1e-10
     )
-    return {
-        "scenario": SCENARIO_THEOREM,
-        "master_seed": cfg.master_seed,
-        "product_bound": {
-            "instances": pb_count,
-            "skipped": pb_skipped,
-            "violations": pb_violations,
-            "worst_slack": pb_worst,
-            "tolerance": tol_product,
-        },
-        "column_necessity": {
-            "instances": nc_count,
-            "violations": nc_violations,
-            "worst_slack": nc_worst,
-            "tolerance": tol_necessity,
-        },
-        "mixing_necessity": {
-            "instances": mn_count,
-            "checked": mn_checked,
-            "vacuous": mn_vacuous,
-            "violations": mn_violations,
-            "worst_slack": mn_worst if mn_checked else None,
-            "tolerance": tol_mixing,
-            "orthogonal_subspace_case": ortho,
-        },
-        "trace_inequality": {
-            "instances": ti_count,
-            "violations": ti_violations,
-            "worst_slack": ti_worst,
-            "tolerance": tol_trace,
-        },
-        "passed": passed,
-    }
+    return report
 
 
 def _orthogonal_subspace_case(tol: float) -> dict:

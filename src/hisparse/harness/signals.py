@@ -59,6 +59,13 @@ def generate_signal(
     return x
 
 
+def _noiseless(snr_db: float) -> bool:
+    """True for the +inf sentinel; nan and -inf raise ValueError."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    return snr_db == math.inf
+
+
 def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """Add complex Gaussian noise at the requested signal-to-noise ratio.
 
@@ -67,9 +74,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
     snr_db = inf is the noiseless sentinel; nan and -inf are rejected.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    if math.isinf(snr_db):
+    if _noiseless(snr_db):
         return y.copy()
     energy = float(np.vdot(y, y).real)
     if energy == 0.0:
@@ -84,9 +89,10 @@ def noise_floor(y_clean: np.ndarray, snr_db: float, x_true: BlockVector) -> floa
 
     For a finite SNR this is the variance of the measurement noise added by
     add_noise; in the noiseless case it degenerates to zero, so a relative
-    floor of 1e-12 times the mean signal power stands in for it.
+    floor of 1e-12 times the mean signal power stands in for it.  snr_db
+    nan and -inf are rejected as in add_noise.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if _noiseless(snr_db):
         return 1e-12 * float(np.mean(np.abs(x_true.coeffs) ** 2))
     y_clean = np.asarray(y_clean).reshape(-1)
     energy = float(np.vdot(y_clean, y_clean).real)

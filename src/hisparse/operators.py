@@ -53,6 +53,8 @@ class HierarchicalOperator:
         rows = {B.shape[0] for B in self.Bs}
         if len(rows) != 1:
             raise DimensionError(f"all B_i must share one row count, got {sorted(rows)}")
+        if not all(np.isfinite(M).all() for M in (self.A, *self.Bs)):
+            raise ValueError("operator matrices A and B_i must be finite")
         self._structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
 
     @property

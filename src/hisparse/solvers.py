@@ -66,11 +66,7 @@ def _assemble_restricted(H: HierarchicalOperator, support: HiSupport) -> np.ndar
 
 def _scatter(H: HierarchicalOperator, support: HiSupport, values: np.ndarray) -> BlockVector:
     out = BlockVector.zeros(H.structure)
-    pos = 0
-    for b in support.active_blocks:
-        local = np.asarray(support.entries[b], dtype=np.intp)
-        out.block(b)[local] = values[pos : pos + local.size]
-        pos += local.size
+    out.coeffs[support.column_indices(H.structure)] = values
     return out
 
 
@@ -189,19 +185,12 @@ def htp_flat(
     if not 1 <= k_total <= H.total_dim:
         raise ValueError(f"need 1 <= k_total <= {H.total_dim}, got {k_total}")
     st = H.structure
-    block_starts = np.asarray([st.offset(i) for i in range(st.num_blocks)])
 
     def project(u: BlockVector):
         order = np.argsort(-np.abs(u.coeffs), kind="stable")
         keep = np.sort(order[:k_total])
         out = BlockVector.zeros(st)
         out.coeffs[keep] = u.coeffs[keep]
-        entries: dict[int, list[int]] = {}
-        for g in keep:
-            g = int(g)
-            b = int(np.searchsorted(block_starts, g, side="right") - 1)
-            entries.setdefault(b, []).append(g - st.offset(b))
-        frozen = {b: tuple(v) for b, v in entries.items()}
-        return out, HiSupport(tuple(frozen), frozen)
+        return out, HiSupport.of_columns(st, keep)
 
     return _pursuit(H, y, project, cfg)

@@ -72,8 +72,25 @@ class TestTypes:
         with pytest.raises(IndexError):
             HiSupport((0,), {0: (5,)}).validate_for(st)
 
+    def test_of_columns_inverts_column_indices(self):
+        st = BlockStructure((3, 2))
+        sup = HiSupport((0, 1), {0: (1, 2), 1: (0,)})
+        assert HiSupport.of_columns(st, [2, 3, 1]) == sup
+        assert HiSupport.of_columns(st, sup.column_indices(st)) == sup
+        assert HiSupport.of_nonzeros(bv(st, [0, 1, 1], [2, 0])) == sup
+        assert HiSupport.of_columns(st, []) == HiSupport.empty()
+        with pytest.raises(IndexError):
+            HiSupport.of_columns(st, [5])
+
 
 class TestHiThreshold:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN used to be dropped silently: [nan, 1 | 2, 3] kept only the 3
+        st = BlockStructure((2, 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            hi_threshold(bv(st, [bad, 1], [2, 3]), HiSparsity(1, (1, 1)))
+
     def test_single_dominant_entry(self):
         # kept-entry block scores are 9, 1, 4 so the first block wins
         st = BlockStructure((2, 2, 2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector, HiSparsity, is_hi_sparse
+from hisparse.harness import experiments
 from hisparse.harness.cli import main as cli_main
 from hisparse.harness.config import (
     ExperimentConfig,
@@ -29,7 +30,7 @@ from hisparse.harness.signals import (
     mse,
     noise_floor,
 )
-from hisparse.errors import DimensionError
+from hisparse.errors import BudgetError, DimensionError
 
 
 def tiny_grid_config(**overrides):
@@ -166,6 +167,12 @@ class TestNoise:
         floor = noise_floor(y, 10.0, x)
         assert abs(floor - 100.0 / (100 * 10.0)) <= 1e-15
         assert noise_floor(y, math.inf, x) == pytest.approx(1e-12)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_noise_floor_rejects_bad_snr(self, snr_db):
+        x = BlockVector(BlockStructure.uniform(2, 2), np.ones(4))
+        with pytest.raises(ValueError, match="snr_db"):
+            noise_floor(np.ones(4, dtype=complex), snr_db, x)
 
 
 class TestMse:
@@ -319,6 +326,20 @@ class TestTheoremVerify:
     def test_wrong_scenario_rejected(self):
         with pytest.raises(ValueError):
             run_theorem_verify(tiny_grid_config())
+
+    def test_thread_pool_preserves_report(self):
+        cfg = desk_theorem_verify(instances=6)
+        assert run_theorem_verify(cfg, threads=2) == run_theorem_verify(cfg, threads=1)
+
+    def test_product_bound_skip_path(self, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise BudgetError("over budget")
+
+        monkeypatch.setattr(experiments, "hirip_constant_exact", over_budget)
+        info = run_theorem_verify(desk_theorem_verify(instances=3))["product_bound"]
+        assert info["skipped"] == info["instances"] == 3
+        assert info["violations"] == 0
+        assert info["worst_slack"] == math.inf
 
 
 class TestConfig:

@@ -149,6 +149,14 @@ class TestValidationAndSerialization:
         with pytest.raises(DimensionError):
             HierarchicalOperator(np.eye(2), (np.eye(2), np.eye(3)))
 
+    @pytest.mark.parametrize("which", ["A", "B"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, which, bad):
+        A, B = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+        (A if which == "A" else B)[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HierarchicalOperator(A, (B, np.eye(3)))
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(9)
         A, Bs = random_operator(rng, 3, 2, 4, (2, 5))
