@@ -8,6 +8,7 @@ nonzero entries and block i holds at most sigma_i of them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,22 +200,25 @@ class HiSupport:
         return sum(len(cols) for cols in self.entries.values())
 
     def validate_for(self, structure: BlockStructure) -> None:
-        for b, cols in self.entries.items():
+        """IndexError unless every block and coordinate lies inside the
+        structure.  Coordinates are sorted, so checking the first and the
+        last of each block covers the rest."""
+        for b in self.active_blocks:
             if not 0 <= b < structure.num_blocks:
                 raise IndexError(f"block index {b} out of range")
-            n = structure.block_sizes[b]
-            for c in cols:
-                if not 0 <= c < n:
-                    raise IndexError(f"coordinate {c} out of range for block {b} (size {n})")
+            cols, n = self.entries[b], structure.block_sizes[b]
+            if cols and not (0 <= cols[0] and cols[-1] < n):
+                bad = cols[0] if cols[0] < 0 else cols[-1]
+                raise IndexError(f"coordinate {bad} out of range for block {b} (size {n})")
 
     def column_indices(self, structure: BlockStructure) -> np.ndarray:
         """Sorted global coordinate indices covered by this support."""
         self.validate_for(structure)
-        idx = []
-        for b in self.active_blocks:
-            off = structure.offset(b)
-            idx.extend(off + c for c in self.entries[b])
-        return np.asarray(idx, dtype=np.intp)
+        cols = list(map(self.entries.__getitem__, self.active_blocks))
+        counts = list(map(len, cols))
+        local = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(counts))
+        starts = np.array(list(map(structure.offset, self.active_blocks)), dtype=np.intp)
+        return local + starts.repeat(counts)
 
 
 def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]:

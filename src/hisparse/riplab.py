@@ -5,9 +5,9 @@ The S-RIP constant of a matrix B is the smallest delta with
 equals max over column subsets T of size S of the spectral norm of
 (B_T^* B_T - I).  The hierarchical variant takes the maximum over
 (s, sigma)-supports instead of flat ones.  Everything here enumerates
-supports explicitly (with a budget guard) and diagonalizes the restricted
-Gram matrices in batches, so the returned constants are exact up to
-eigensolver roundoff.
+supports explicitly, as lexicographically ordered index arrays behind a
+budget guard, and diagonalizes the restricted Gram matrices in batches, so
+the returned constants are exact up to eigensolver roundoff.
 """
 
 from __future__ import annotations
@@ -62,54 +62,44 @@ def hierarchical_support_count(structure: BlockStructure, k: HiSparsity) -> int:
     return e[k.s]
 
 
-def _batch_deviations(dense: np.ndarray, cols_batch: np.ndarray) -> np.ndarray:
-    """Spectral norms of (D_T^* D_T - I) for a batch of same-size supports."""
-    sub = dense[:, cols_batch]  # (rows, batch, k)
-    gram = np.einsum("rbk,rbl->bkl", sub.conj(), sub)
-    eig = np.linalg.eigvalsh(gram)
-    return np.abs(eig - 1.0).max(axis=1)
+def _combinations(n: int, r: int, offset: int = 0) -> np.ndarray:
+    """Every r-subset of range(offset, offset + n) as one row of a
+    (C(n, r), r) index array, rows in lexicographic order."""
+    count = math.comb(n, r)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(offset, offset + n), r)),
+        dtype=np.intp,
+        count=count * r,
+    )
+    return flat.reshape(count, r)
 
 
-def _max_deviation(dense: np.ndarray, supports, chunk: int = _CHUNK):
-    """Maximum Gram deviation over enumerated supports.
+def _max_deviation(dense: np.ndarray, batches, chunk: int = _CHUNK):
+    """Maximum spectral norm of (D_T^* D_T - I) over enumerated supports T.
 
-    supports yields (cols_tuple, payload) in enumeration order; the first
+    batches yields (key, supports) pairs, supports a (count, size) array of
+    column indices; together they list the supports in enumeration order.
+    Each einsum/eigvalsh call sees at most chunk supports.  The first
     support attaining the maximum wins ties, so for a lexicographic
     enumeration the argmax is the lexicographically smallest maximizer.
-    Returns (delta, payload_of_argmax, count).
+    Returns (delta, key of the argmax's batch, argmax row, count).
     """
-    buffers: dict[int, tuple[list, list, list]] = {}
-    best_delta = -1.0
-    best_ordinal = None
-    best_payload = None
+    best_delta, best_key, best_row = -1.0, None, None
     count = 0
-
-    def consider(delta, ordinal, payload):
-        nonlocal best_delta, best_ordinal, best_payload
-        if delta > best_delta or (delta == best_delta and ordinal < best_ordinal):
-            best_delta, best_ordinal, best_payload = delta, ordinal, payload
-
-    def flush(size):
-        cols_list, ordinals, payloads = buffers.pop(size)
-        devs = _batch_deviations(dense, np.asarray(cols_list, dtype=np.intp))
-        j = int(np.argmax(devs))  # first occurrence, ordinals ascend per size
-        consider(float(devs[j]), ordinals[j], payloads[j])
-
-    for ordinal, (cols, payload) in enumerate(supports):
-        count += 1
-        size = len(cols)
-        if size == 0:
-            consider(0.0, ordinal, payload)
-            continue
-        buf = buffers.setdefault(size, ([], [], []))
-        buf[0].append(cols)
-        buf[1].append(ordinal)
-        buf[2].append(payload)
-        if len(buf[0]) >= chunk:
-            flush(size)
-    for size in sorted(buffers):
-        flush(size)
-    return max(best_delta, 0.0), best_payload, count
+    for key, supports in batches:
+        count += len(supports)
+        for lo in range(0, len(supports), chunk):
+            cols = supports[lo : lo + chunk]
+            if cols.shape[1]:
+                sub = dense[:, cols]  # (rows, batch, size)
+                gram = np.einsum("rbk,rbl->bkl", sub.conj(), sub)
+                devs = np.abs(np.linalg.eigvalsh(gram) - 1.0).max(axis=1)
+            else:
+                devs = np.zeros(len(cols))
+            j = int(np.argmax(devs))
+            if devs[j] > best_delta:
+                best_delta, best_key, best_row = float(devs[j]), key, cols[j]
+    return max(best_delta, 0.0), best_key, best_row, count
 
 
 def rip_constant_exact(
@@ -126,9 +116,8 @@ def rip_constant_exact(
             f"{count} supports exceed the enumeration budget {budget}; "
             "use rip_constant_randomized for a lower bound"
         )
-    supports = ((c, c) for c in itertools.combinations(range(cols), order))
-    delta, argmax, examined = _max_deviation(B, supports)
-    return RipEstimate(delta, "exact-enumeration", examined, argmax)
+    delta, _, row, examined = _max_deviation(B, [(None, _combinations(cols, order))])
+    return RipEstimate(delta, "exact-enumeration", examined, tuple(row.tolist()))
 
 
 def rip_constant_randomized(
@@ -146,27 +135,25 @@ def rip_constant_randomized(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = as_rng(seed)
-    draws = [
-        tuple(int(c) for c in np.sort(rng.choice(cols, size=order, replace=False)))
-        for _ in range(trials)
-    ]
-    delta, argmax, _ = _max_deviation(B, ((c, c) for c in draws))
-    return RipEstimate(delta, "randomized-lower-bound", trials, argmax)
+    draws = np.sort(
+        [rng.choice(cols, size=order, replace=False) for _ in range(trials)], axis=1
+    )
+    delta, _, row, _ = _max_deviation(B, [(None, draws)])
+    return RipEstimate(delta, "randomized-lower-bound", trials, tuple(row.tolist()))
 
 
-def _iter_hierarchical_supports(structure: BlockStructure, k: HiSparsity):
-    """Yield (global_cols, (blocks, per_block_cols)) for every maximal
-    (s, sigma)-support, in lexicographic order."""
+def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
+    """(blocks, supports) for each s-tuple of blocks in lexicographic order,
+    supports holding every maximal (s, sigma)-support on those blocks as a
+    row of global column indices, rows in lexicographic order."""
     per_block = [
-        list(itertools.combinations(range(n), sig))
-        for n, sig in zip(structure.block_sizes, k.sigma)
+        _combinations(n, sig, structure.offset(i))
+        for i, (n, sig) in enumerate(zip(structure.block_sizes, k.sigma))
     ]
     for blocks in itertools.combinations(range(structure.num_blocks), k.s):
-        for choice in itertools.product(*(per_block[b] for b in blocks)):
-            cols = tuple(
-                structure.offset(b) + c for b, local in zip(blocks, choice) for c in local
-            )
-            yield cols, (blocks, choice)
+        parts = [per_block[b] for b in blocks]
+        picks = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
+        yield blocks, np.concatenate([p[i] for p, i in zip(parts, picks)], axis=1)
 
 
 def hirip_constant_exact(
@@ -189,9 +176,10 @@ def hirip_constant_exact(
             f"{count} hierarchical supports exceed the enumeration budget {budget}"
         )
     dense = H.assemble_dense(dense_budget)
-    delta, payload, examined = _max_deviation(dense, _iter_hierarchical_supports(st, k))
-    blocks, choice = payload
-    support = HiSupport(blocks, {b: local for b, local in zip(blocks, choice)})
+    delta, blocks, row, examined = _max_deviation(dense, _hierarchical_batches(st, k))
+    # rebuilt per block, so blocks with sigma_i = 0 stay active with ()
+    parts = np.split(row, np.cumsum([k.sigma[b] for b in blocks[:-1]]))
+    support = HiSupport(blocks, {b: part - st.offset(b) for b, part in zip(blocks, parts)})
     return RipEstimate(delta, "exact-enumeration", examined, support)
 
 

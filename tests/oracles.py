@@ -42,6 +42,25 @@ def enumerate_hi_patterns(structure: BlockStructure, k: HiSparsity):
             yield dict(zip(blocks, choice))
 
 
+def hirip_by_patterns(A, Bs, k: HiSparsity):
+    """Exhaustive (s, sigma)-HiRIP constant: one eigvalsh of the restricted
+    Gram matrix of the entry-by-entry dense matrix per maximal support; the
+    first maximizer in enumeration order wins ties.
+
+    Returns (delta, argmax as a {block: cols} dict, support count)."""
+    D = dense_by_entries(A, Bs)
+    structure = BlockStructure(tuple(B.shape[1] for B in Bs))
+    best, arg, count = -1.0, None, 0
+    for pattern in enumerate_hi_patterns(structure, k):
+        count += 1
+        cols = [structure.offset(b) + c for b, local in pattern.items() for c in local]
+        sub = D[:, cols]
+        dev = float(np.abs(np.linalg.eigvalsh(sub.conj().T @ sub) - 1.0).max()) if cols else 0.0
+        if dev > best:
+            best, arg = dev, pattern
+    return max(best, 0.0), arg, count
+
+
 def best_hi_approx_residual(x: BlockVector, k: HiSparsity) -> float:
     """Exhaustive minimum of ||x - z|| over (s, sigma)-sparse z.
 

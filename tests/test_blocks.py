@@ -72,6 +72,37 @@ class TestTypes:
         with pytest.raises(IndexError):
             HiSupport((0,), {0: (5,)}).validate_for(st)
 
+    def test_column_indices_match_elementwise_map(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            st = BlockStructure(tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 6))))
+            blocks = [b for b in range(st.num_blocks) if rng.random() < 0.6]
+            entries = {
+                b: tuple(rng.choice(st.block_sizes[b], size=rng.integers(0, st.block_sizes[b] + 1),
+                                    replace=False).tolist())
+                for b in blocks
+            }
+            got = HiSupport(tuple(blocks), entries).column_indices(st)
+            want = [st.offset(b) + c for b in blocks for c in sorted(entries[b])]
+            assert got.dtype == np.intp
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "sup",
+        [
+            HiSupport((2,), {2: (0,)}),
+            HiSupport((-1,), {-1: (0,)}),
+            HiSupport((0, 1), {0: (0,), 1: (0, 2)}),
+            HiSupport((0, 1), {0: (-1, 1), 1: ()}),
+        ],
+    )
+    def test_out_of_range_support_rejected(self, sup):
+        st = BlockStructure((3, 2))
+        with pytest.raises(IndexError):
+            sup.validate_for(st)
+        with pytest.raises(IndexError):
+            sup.column_indices(st)
+
     def test_of_columns_inverts_column_indices(self):
         st = BlockStructure((3, 2))
         sup = HiSupport((0, 1), {0: (1, 2), 1: (0,)})

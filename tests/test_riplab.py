@@ -9,6 +9,8 @@ from hisparse.ensembles import gaussian_matrix, subsampled_dft
 from hisparse.errors import BudgetError
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
+    _combinations,
+    _max_deviation,
     column_necessity_check,
     gram_matrix,
     hierarchical_support_count,
@@ -204,6 +206,63 @@ class TestHiRip:
         H = HierarchicalOperator(A, Bs)
         with pytest.raises(BudgetError):
             hirip_constant_exact(H, HiSparsity.uniform(3, 3, 6), budget=100)
+
+
+class TestArgmaxRules:
+    """The argmax is the first maximizer in lexicographic enumeration order,
+    and blocks with sigma_i = 0 stay in it with an empty coordinate tuple."""
+
+    @pytest.mark.parametrize(
+        "k, want",
+        [
+            (HiSparsity(2, (0, 2, 1)), HiSupport((1, 2), {1: (1, 2), 2: (0,)})),
+            (HiSparsity(1, (0, 0, 0)), HiSupport((0,), {0: ()})),
+            (HiSparsity(3, (1, 0, 2)), HiSupport((0, 1, 2), {0: (1,), 1: (), 2: (0, 1)})),
+        ],
+    )
+    def test_zero_budget_blocks(self, k, want):
+        rng = np.random.default_rng(41)
+        H = HierarchicalOperator(*random_operator(rng, 3, 3, 4, (3, 3, 2)))
+        est = hirip_constant_exact(H, k)
+        assert est.supports_examined == hierarchical_support_count(H.structure, k)
+        assert est.argmax_support == want
+        if not any(k.sigma):
+            assert est.delta == 0.0
+
+    def test_zero_budget_block_kept_on_ties(self):
+        H = HierarchicalOperator(np.eye(3), (np.eye(3),) * 3)
+        est = hirip_constant_exact(H, HiSparsity(2, (0, 2, 1)))
+        assert est.delta == 0.0
+        assert est.argmax_support == HiSupport((0, 1), {0: (), 1: (0, 1)})
+
+    def test_flat_ties_pick_first_support(self):
+        est = rip_constant_exact(np.eye(5), 2)
+        assert est.delta == 0.0
+        assert est.argmax_support == (0, 1)
+
+    def test_hierarchical_ties_pick_first_support(self):
+        H = HierarchicalOperator(np.eye(3), (np.eye(3),) * 3)
+        est = hirip_constant_exact(H, HiSparsity.uniform(2, 1, 3))
+        assert est.delta == 0.0
+        assert est.argmax_support == HiSupport((0, 1), {0: (0,), 1: (0,)})
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_ties_across_chunks(self, chunk):
+        # columns e0, e1, e1, e0: supports (0, 3) and (1, 2) both reach
+        # delta 1, and (0, 3) comes first
+        e = np.eye(2)
+        B = np.stack([e[0], e[1], e[1], e[0]], axis=1).astype(complex)
+        delta, _, row, count = _max_deviation(B, [(None, _combinations(4, 2))], chunk)
+        assert tuple(row.tolist()) == (0, 3)
+        assert delta == pytest.approx(1.0, abs=1e-12)
+        assert count == 6
+
+    def test_combinations_rows(self):
+        np.testing.assert_array_equal(
+            _combinations(4, 2, 10), np.array(list(itertools.combinations(range(10, 14), 2)))
+        )
+        assert _combinations(3, 0).shape == (1, 0)
+        assert _combinations(3, 3).shape == (1, 3)
 
 
 class TestHiRipBound:
