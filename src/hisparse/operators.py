@@ -116,8 +116,28 @@ class HierarchicalOperator:
             raise BudgetError(
                 f"dense assembly needs {n_entries} entries, budget is {max_entries}"
             )
-        cols = [np.kron(self.A[:, i : i + 1], self.Bs[i]) for i in range(self.num_blocks)]
-        return np.hstack(cols)
+        return self.dense_columns(np.arange(self.total_dim))
+
+    def dense_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Dense (M*m) x len(cols) matrix of the given sorted, in-range
+        global columns: column c of block b is kron(a_b, B_b[:, c]).
+
+        The inner columns are gathered into one m x len(cols) matrix and
+        multiplied by their mixing columns into one (M, m, len(cols))
+        buffer, so every entry is the single product A[j, b] * B_b[r, c],
+        exactly as in kron.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        offsets = np.asarray(self._structure._offsets)
+        cuts = np.searchsorted(cols, offsets)  # block b holds cols[cuts[b]:cuts[b + 1]]
+        counts = np.diff(cuts)
+        inner = np.empty((self.inner_rows, cols.size), dtype=np.complex128)
+        for b in np.flatnonzero(counts):
+            lo, hi = cuts[b], cuts[b + 1]
+            inner[:, lo:hi] = self.Bs[b][:, cols[lo:hi] - offsets[b]]
+        out = np.empty((self.num_antennas, self.inner_rows, cols.size), dtype=np.complex128)
+        np.multiply(self.A[:, None, np.repeat(np.arange(self.num_blocks), counts)], inner, out=out)
+        return out.reshape(self.out_dim, cols.size)
 
 
 def kronecker_operator(A, B) -> HierarchicalOperator:

@@ -6,12 +6,15 @@ equals max over column subsets T of size S of the spectral norm of
 (B_T^* B_T - I).  The hierarchical variant takes the maximum over
 (s, sigma)-supports instead of flat ones.  Everything here enumerates
 supports explicitly, as lexicographically ordered index arrays behind a
-budget guard, and diagonalizes the restricted Gram matrices in batches, so
-the returned constants are exact up to eigensolver roundoff.
+budget guard, gathers their restricted Gram matrices in batches from one
+Gram matrix per constant, and diagonalizes every one that certified bounds
+cannot rule out, so the returned constants are exact up to eigensolver
+roundoff.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +30,8 @@ from .operators import DENSE_ENTRY_BUDGET, HierarchicalOperator
 DEFAULT_SUPPORT_BUDGET = 2_000_000
 
 _CHUNK = 4096
+# chunks of at most this many supports skip the pruning bounds
+_PRUNE_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -74,38 +79,116 @@ def _combinations(n: int, r: int, offset: int = 0) -> np.ndarray:
     return flat.reshape(count, r)
 
 
-def _max_deviation(dense: np.ndarray, batches, chunk: int = _CHUNK):
+def _deviation_gram(dense: np.ndarray, budget: int) -> np.ndarray:
+    """blockdiag(D^* D - I, 0) for the columns of D = dense, one side longer
+    than the column count.
+
+    Index cols (= the column count) selects the zero row, so a support
+    padded with it to any width keeps its deviation: blockdiag(M, 0) has the
+    spectrum of M plus zeros.  Refuses with BudgetError before allocating
+    when the (cols + 1)^2 entries exceed budget."""
+    cols = dense.shape[1]
+    side = cols + 1
+    if side * side > budget:
+        raise BudgetError(
+            f"the Gram matrix needs {side * side} entries, budget is {budget}"
+        )
+    gram = np.zeros((side, side), dtype=np.complex128)
+    gram[:cols, :cols] = dense.conj().T @ dense
+    gram.flat[: cols * side : side + 1] -= 1.0
+    return gram
+
+
+def _spectral_norm(herm: np.ndarray) -> np.ndarray:
+    """Spectral norm of each Hermitian matrix in a (..., w, w) stack."""
+    return np.abs(np.linalg.eigvalsh(herm)).max(axis=-1, initial=0.0)
+
+
+def _live_rows(sub: np.ndarray, best: float) -> np.ndarray:
+    """Indices of the restricted matrices in sub that could attain the
+    maximum deviation, given the best deviation seen before them.
+
+    For Hermitian M, max |M_ij| is a lower and the largest absolute row sum
+    (Gershgorin) an upper bound on ||M||_2.  The floor is the largest of
+    best, the largest lower bound and the exact deviation of the row with
+    the largest upper bound (usually the maximizer); a row whose upper
+    bound falls below the floor, less a roundoff margin, cannot attain the
+    maximum."""
+    mag = np.abs(sub)
+    upper = mag.sum(axis=2).max(axis=1, initial=0.0)
+    top = _spectral_norm(sub[np.argmax(upper)])
+    floor = max(best, float(mag.max(initial=0.0)), float(top))
+    return np.flatnonzero(upper >= floor - 1e-12 * (1.0 + floor))
+
+
+def _chunks(batches, chunk: int):
+    """Regroup (key, supports) batches into chunks of at most chunk rows.
+
+    Yields (rows, starts, keys): rows[starts[j]:starts[j + 1]] came from
+    the batch keyed keys[j]."""
+    parts, starts, keys, fill = [], [], [], 0
+    for key, supports in batches:
+        lo = 0
+        while lo < len(supports):
+            part = supports[lo : lo + chunk - fill]
+            lo += len(part)
+            parts.append(part)
+            starts.append(fill)
+            keys.append(key)
+            fill += len(part)
+            if fill == chunk:
+                yield np.concatenate(parts), starts, keys
+                parts, starts, keys, fill = [], [], [], 0
+    if parts:
+        yield np.concatenate(parts), starts, keys
+
+
+def _max_deviation(
+    dense: np.ndarray, batches, chunk: int = _CHUNK, budget: int = DENSE_ENTRY_BUDGET
+):
     """Maximum spectral norm of (D_T^* D_T - I) over enumerated supports T.
 
-    batches yields (key, supports) pairs, supports a (count, size) array of
-    column indices; together they list the supports in enumeration order.
-    Each einsum/eigvalsh call sees at most chunk supports.  The first
-    support attaining the maximum wins ties, so for a lexicographic
-    enumeration the argmax is the lexicographically smallest maximizer.
+    batches yields (key, supports) pairs, supports a (count, width) array
+    of column indices; together they list the supports in enumeration
+    order.  Narrower supports are padded with the index cols (= the column
+    count of D), the zero row of _deviation_gram; the returned argmax drops
+    the padding.  Each chunk of at most chunk supports gathers its
+    restricted matrices from the one Gram matrix; in a chunk of more than
+    _PRUNE_MIN rows only _live_rows reach eigvalsh (a smaller chunk costs
+    less to diagonalize whole than to prune).  The first support attaining
+    the maximum wins ties, so for a lexicographic enumeration the argmax is
+    the lexicographically smallest maximizer.
     Returns (delta, key of the argmax's batch, argmax row, count).
     """
+    cols = dense.shape[1]
+    gram = _deviation_gram(dense, budget)
+    flat, side = gram.ravel(), cols + 1
     best_delta, best_key, best_row = -1.0, None, None
     count = 0
-    for key, supports in batches:
-        count += len(supports)
-        for lo in range(0, len(supports), chunk):
-            cols = supports[lo : lo + chunk]
-            if cols.shape[1]:
-                sub = dense[:, cols]  # (rows, batch, size)
-                gram = np.einsum("rbk,rbl->bkl", sub.conj(), sub)
-                devs = np.abs(np.linalg.eigvalsh(gram) - 1.0).max(axis=1)
-            else:
-                devs = np.zeros(len(cols))
-            j = int(np.argmax(devs))
-            if devs[j] > best_delta:
-                best_delta, best_key, best_row = float(devs[j]), key, cols[j]
+    for rows, starts, keys in _chunks(batches, chunk):
+        count += len(rows)
+        sub = flat.take(rows[:, :, None] * side + rows[:, None, :])  # (batch, width, width)
+        live = _live_rows(sub, best_delta) if len(rows) > _PRUNE_MIN else np.arange(len(rows))
+        if not live.size:
+            continue
+        devs = _spectral_norm(sub[live])
+        j = int(np.argmax(devs))
+        if devs[j] > best_delta:
+            i = int(live[j])
+            best_delta, best_row = float(devs[j]), rows[i][rows[i] < cols]
+            best_key = keys[bisect.bisect_right(starts, i) - 1]
     return max(best_delta, 0.0), best_key, best_row, count
 
 
 def rip_constant_exact(
     B: np.ndarray, order: int, budget: int = DEFAULT_SUPPORT_BUDGET
 ) -> RipEstimate:
-    """Exact S-RIP constant by enumerating all C(cols, S) column subsets."""
+    """Exact S-RIP constant by enumerating all C(cols, S) column subsets.
+
+    The Gram matrix of B is formed once, with (cols + 1)^2 entries that must
+    fit DENSE_ENTRY_BUDGET (BudgetError otherwise, before it is allocated).
+    Orders >= 2 within the default support budget stay far below that; it
+    refuses order-1 calls on 7,071 or more columns."""
     B = np.asarray(B, dtype=np.complex128)
     cols = B.shape[1]
     if not 1 <= order <= cols:
@@ -126,7 +209,8 @@ def rip_constant_randomized(
     """Lower bound on the S-RIP constant from uniformly sampled supports.
 
     Under a fixed seed the sampled sequence is a prefix of any longer run,
-    so the estimate is non-decreasing in trials.
+    so the estimate is non-decreasing in trials.  The Gram matrix covers
+    only the distinct drawn columns.
     """
     B = np.asarray(B, dtype=np.complex128)
     cols = B.shape[1]
@@ -138,22 +222,28 @@ def rip_constant_randomized(
     draws = np.sort(
         [rng.choice(cols, size=order, replace=False) for _ in range(trials)], axis=1
     )
-    delta, _, row, _ = _max_deviation(B, [(None, draws)])
-    return RipEstimate(delta, "randomized-lower-bound", trials, tuple(row.tolist()))
+    drawn = np.flatnonzero(np.bincount(draws.ravel(), minlength=cols))
+    delta, _, row, _ = _max_deviation(B[:, drawn], [(None, np.searchsorted(drawn, draws))])
+    return RipEstimate(delta, "randomized-lower-bound", trials, tuple(drawn[row].tolist()))
 
 
 def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
     """(blocks, supports) for each s-tuple of blocks in lexicographic order,
     supports holding every maximal (s, sigma)-support on those blocks as a
-    row of global column indices, rows in lexicographic order."""
+    row of global column indices, rows in lexicographic order.  Rows are
+    padded to the widest support, the sum of the s largest sigma_i, with
+    the index total_dim (see _max_deviation)."""
     per_block = [
         _combinations(n, sig, structure.offset(i))
         for i, (n, sig) in enumerate(zip(structure.block_sizes, k.sigma))
     ]
+    width = sum(sorted(k.sigma, reverse=True)[: k.s])
     for blocks in itertools.combinations(range(structure.num_blocks), k.s):
         parts = [per_block[b] for b in blocks]
         picks = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
-        yield blocks, np.concatenate([p[i] for p, i in zip(parts, picks)], axis=1)
+        pad = np.full((picks.shape[1], width - sum(k.sigma[b] for b in blocks)),
+                      structure.total_dim, dtype=np.intp)
+        yield blocks, np.concatenate([p[i] for p, i in zip(parts, picks)] + [pad], axis=1)
 
 
 def hirip_constant_exact(
@@ -167,6 +257,8 @@ def hirip_constant_exact(
     Only maximal supports (exactly s blocks, exactly sigma_i coordinates
     each) are enumerated: every smaller hierarchical support is a principal
     submatrix of a maximal one and cannot increase the spectral deviation.
+    Besides the dense matrix, the Gram matrix of its total_dim columns must
+    fit dense_budget: (total_dim + 1)^2 entries.
     """
     st = H.structure
     k.validate_for(st)
@@ -176,7 +268,9 @@ def hirip_constant_exact(
             f"{count} hierarchical supports exceed the enumeration budget {budget}"
         )
     dense = H.assemble_dense(dense_budget)
-    delta, blocks, row, examined = _max_deviation(dense, _hierarchical_batches(st, k))
+    delta, blocks, row, examined = _max_deviation(
+        dense, _hierarchical_batches(st, k), budget=dense_budget
+    )
     # rebuilt per block, so blocks with sigma_i = 0 stay active with ()
     parts = np.split(row, np.cumsum([k.sigma[b] for b in blocks[:-1]]))
     support = HiSupport(blocks, {b: part - st.offset(b) for b, part in zip(blocks, parts)})

@@ -52,39 +52,28 @@ class SolverResult:
     stop_reason: str
 
 
-def _assemble_restricted(H: HierarchicalOperator, support: HiSupport) -> np.ndarray:
-    """Dense (M*m) x |support| matrix of the selected columns, ascending."""
-    cols = []
-    for b in support.active_blocks:
-        local = np.asarray(support.entries[b], dtype=np.intp)
-        if local.size:
-            cols.append(np.kron(H.A[:, b : b + 1], H.Bs[b][:, local]))
-    if not cols:
-        return np.zeros((H.out_dim, 0), dtype=np.complex128)
-    return np.hstack(cols)
-
-
-def _scatter(H: HierarchicalOperator, support: HiSupport, values: np.ndarray) -> BlockVector:
+def _scatter(H: HierarchicalOperator, cols: np.ndarray, values: np.ndarray) -> BlockVector:
     out = BlockVector.zeros(H.structure)
-    out.coeffs[support.column_indices(H.structure)] = values
+    out.coeffs[cols] = values
     return out
 
 
 def _restricted_lstsq(
     H: HierarchicalOperator, y: np.ndarray, support: HiSupport
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Minimize ||y - H z|| over z supported in `support`.
 
-    Returns the minimizer's values on the support in ascending column order
-    (scatter them with _scatter) and whether the selected columns are rank
-    deficient.  One dense lstsq on the assembled columns: the result depends
-    on the support alone, which the pursuit's cycle skip relies on."""
-    support.validate_for(H.structure)
-    ncols = support.num_entries
-    if ncols == 0:
-        return np.zeros(0, dtype=np.complex128), False
-    sol, _, rank, _ = np.linalg.lstsq(_assemble_restricted(H, support), y, rcond=None)
-    return sol, rank < ncols
+    Returns the support's global column indices in ascending order (the
+    support is validated once, here: IndexError when it does not fit H),
+    the minimizer's values on them (scatter them with _scatter) and whether
+    the selected columns are rank deficient.  One dense lstsq on the
+    assembled columns: the result depends on the support alone, which the
+    pursuit's cycle skip relies on."""
+    cols = support.column_indices(H.structure)
+    if not cols.size:
+        return cols, np.zeros(0, dtype=np.complex128), False
+    sol, _, rank, _ = np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)
+    return cols, sol, rank < cols.size
 
 
 def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
@@ -100,8 +89,8 @@ def least_squares_on_support(
     H: HierarchicalOperator, y: np.ndarray, support: HiSupport
 ) -> BlockVector:
     """Least-squares fit of y on the given support; zero elsewhere."""
-    sol, _ = _restricted_lstsq(H, _measurements(H, y), support)
-    return _scatter(H, support, sol)
+    cols, sol, _ = _restricted_lstsq(H, _measurements(H, y), support)
+    return _scatter(H, cols, sol)
 
 
 def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
@@ -109,8 +98,9 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
     y_norm = float(np.linalg.norm(y))
     x = BlockVector.zeros(H.structure)
     r = y  # residual of x = 0
-    # every support refit so far -> (iteration, refit values, residual norm)
-    refits: dict[HiSupport, tuple[int, np.ndarray, float]] = {}
+    # every support refit so far -> (iteration, its columns, refit values,
+    # residual norm)
+    refits: dict[HiSupport, tuple[int, np.ndarray, np.ndarray, float]] = {}
     supports: list[HiSupport] = []  # supports[t - 1] was refit at iteration t
     for t in range(1, cfg.max_iters + 1):
         grad = H.adjoint_apply(r)
@@ -126,16 +116,16 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
             # now repeat with period t - j until max_iters; return the state
             # the loop would end in.
             end = supports[j - 1 + (cfg.max_iters - j) % (t - j)]
-            _, sol, res = refits[end]
+            _, cols, sol, res = refits[end]
             return SolverResult(
-                _scatter(H, end, sol), end, cfg.max_iters, res, False, STOP_MAX_ITERS
+                _scatter(H, cols, sol), end, cfg.max_iters, res, False, STOP_MAX_ITERS
             )
         support = new_support
-        sol, rank_deficient = _restricted_lstsq(H, y, support)
-        x = _scatter(H, support, sol)
+        cols, sol, rank_deficient = _restricted_lstsq(H, y, support)
+        x = _scatter(H, cols, sol)
         r = y - H.apply(x)
         residual = float(np.linalg.norm(r))
-        refits[support] = (t, sol, residual)
+        refits[support] = (t, cols, sol, residual)
         supports.append(support)
         if rank_deficient:
             return SolverResult(x, support, t, residual, False, STOP_LS_FAILURE)

@@ -112,6 +112,17 @@ class TestDenseAssembly:
             want = D @ x.coeffs
             assert np.linalg.norm(H.apply(x) - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_dense_columns_match_kron_bitwise(self):
+        # every entry is the single product A[j, b] * B_b[r, c], as in kron
+        rng = np.random.default_rng(9)
+        A, Bs = random_operator(rng, 4, 5, 3, (2, 6, 1, 4, 3))
+        H = HierarchicalOperator(A, Bs)
+        full = np.hstack([np.kron(A[:, i : i + 1], B) for i, B in enumerate(Bs)])
+        np.testing.assert_array_equal(H.assemble_dense(), full)
+        for size in (0, 1, 5, 9, H.total_dim):
+            cols = np.sort(rng.choice(H.total_dim, size=size, replace=False))
+            np.testing.assert_array_equal(H.dense_columns(cols), full[:, cols])
+
     def test_budget_guard(self):
         rng = np.random.default_rng(6)
         A, Bs = random_operator(rng, 4, 2, 4, (3, 3))

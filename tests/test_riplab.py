@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hisparse.errors import BudgetError
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
     _combinations,
+    _hierarchical_batches,
     _max_deviation,
     column_necessity_check,
     gram_matrix,
@@ -23,7 +25,7 @@ from hisparse.riplab import (
     rip_constant_randomized,
 )
 
-from oracles import pair_gram_deviation, random_hi_sparse, random_operator
+from oracles import hirip_by_patterns, pair_gram_deviation, random_hi_sparse, random_operator
 
 
 def unitary(n, seed=0):
@@ -58,6 +60,32 @@ class TestFlatRip:
             pair_gram_deviation(B, i, j) for i, j in itertools.combinations(range(12), 2)
         )
         assert abs(rip_constant_exact(B, 2).delta - want) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_matches_subset_eigensolve_oracle(self, order):
+        # one eigvalsh per column subset of B itself, no shared Gram matrix
+        rng = np.random.default_rng(40 + order)
+        B = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        B /= np.linalg.norm(B, axis=0, keepdims=True)
+        want = 0.0
+        for T in itertools.combinations(range(9), order):
+            sub = B[:, T]
+            want = max(want, np.abs(np.linalg.eigvalsh(sub.conj().T @ sub) - 1.0).max())
+        est = rip_constant_exact(B, order)
+        assert abs(est.delta - want) <= 1e-12
+        assert est.supports_examined == math.comb(9, order)
+
+    def test_gram_budget_refused_before_allocation(self):
+        # the Gram matrix of 8000 columns would hold 8001^2 > 5e7 entries
+        # (1 GB); the refusal must come before any of it is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                rip_constant_exact(np.zeros((1, 8000)), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_argmax_support_achieves_delta(self):
         B = gaussian_matrix(6, 9, 4)
@@ -200,6 +228,15 @@ class TestHiRip:
         d_flat = rip_constant_exact(H.assemble_dense(), flat_order).delta
         assert d_hi <= d_flat + 1e-12
 
+    def test_gram_within_dense_budget(self):
+        # the 1 x 30 dense matrix fits 100 entries, its 31^2-entry Gram
+        # matrix does not
+        H = HierarchicalOperator(np.ones((1, 3)), (np.ones((1, 10)),) * 3)
+        k = HiSparsity.uniform(1, 1, 3)
+        with pytest.raises(BudgetError):
+            hirip_constant_exact(H, k, dense_budget=100)
+        assert hirip_constant_exact(H, k, dense_budget=31**2).supports_examined == 30
+
     def test_budget_guard(self):
         rng = np.random.default_rng(20)
         A, Bs = random_operator(rng, 2, 6, 8, (8,) * 6)
@@ -256,6 +293,51 @@ class TestArgmaxRules:
         assert tuple(row.tolist()) == (0, 3)
         assert delta == pytest.approx(1.0, abs=1e-12)
         assert count == 6
+
+    def test_mixed_sigma_padding(self):
+        # block tuples of widths 3, 4 and 5 share chunks, padded to width 5;
+        # chunks of 40 and 4096 rows exceed _PRUNE_MIN and are pruned
+        rng = np.random.default_rng(42)
+        A, Bs = random_operator(rng, 3, 3, 4, (3, 5, 4))
+        A /= np.linalg.norm(A, axis=0, keepdims=True)
+        Bs = tuple(B / np.linalg.norm(B, axis=0, keepdims=True) for B in Bs)
+        H = HierarchicalOperator(A, Bs)
+        k = HiSparsity(2, (1, 3, 2))
+        want, arg, count = hirip_by_patterns(A, Bs, k)
+        est = hirip_constant_exact(H, k)
+        assert abs(est.delta - want) <= 1e-12
+        assert est.supports_examined == count
+        assert est.argmax_support == HiSupport(tuple(arg), arg)
+        dense = H.assemble_dense()
+        for chunk in (1, 7, 40, 4096):
+            delta, blocks, row, examined = _max_deviation(
+                dense, _hierarchical_batches(H.structure, k), chunk
+            )
+            assert abs(delta - want) <= 1e-12
+            assert blocks == tuple(arg)
+            assert examined == count
+            np.testing.assert_array_equal(
+                row, HiSupport(tuple(arg), arg).column_indices(H.structure)
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 5, 33, 4096])
+    def test_tight_gershgorin_ties_pick_first_support(self, chunk):
+        # orthogonal columns: every restricted deviation is diagonal, so the
+        # lower and upper bounds equal it, and the tied column norms make
+        # every support holding a column of norm 2 a maximizer at 3; chunks
+        # of more than _PRUNE_MIN (of the 36 flat and 60 hierarchical
+        # supports) go through the pruning bounds
+        norms = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]
+        B = np.diag(norms)
+        delta, _, row, count = _max_deviation(B, [(None, _combinations(9, 2))], chunk)
+        assert delta == 3.0
+        assert tuple(row.tolist()) == (0, 3)
+        assert count == 36
+        H = HierarchicalOperator(np.eye(2), (B[:, :4], B[:, 4:]))
+        est = hirip_constant_exact(H, HiSparsity(2, (2, 2)))
+        assert est.delta == 3.0
+        assert est.argmax_support == HiSupport((0, 1), {0: (0, 1), 1: (0, 4)})
+        assert est.supports_examined == 60
 
     def test_combinations_rows(self):
         np.testing.assert_array_equal(

@@ -81,6 +81,10 @@ class TestLeastSquares:
         z = least_squares_on_support(H, np.ones(3), HiSupport.empty())
         np.testing.assert_array_equal(z.coeffs, np.zeros(3))
 
+    def test_out_of_range_support_rejected(self):
+        H = identity_operator(3)
+        with pytest.raises(IndexError):
+            least_squares_on_support(H, np.ones(3), HiSupport((0,), {0: (1, 3)}))
 
 class TestHihtp:
     def test_identity_recovers_in_one_iteration(self):
@@ -340,6 +344,26 @@ class TestCycleSkip:
         res = hihtp(H, y, k, cfg)
         assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
         self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
+
+    def test_each_refit_validates_its_support_once(self, monkeypatch):
+        calls = {"validate": 0, "refit": 0}
+        validate, refit = HiSupport.validate_for, solvers._restricted_lstsq
+
+        def counting_validate(self, structure):
+            calls["validate"] += 1
+            return validate(self, structure)
+
+        def counting_refit(*args):
+            calls["refit"] += 1
+            return refit(*args)
+
+        monkeypatch.setattr(HiSupport, "validate_for", counting_validate)
+        monkeypatch.setattr(solvers, "_restricted_lstsq", counting_refit)
+        # the period-6 instance below: six refits, then the skipped tail
+        H, y = self.noisy_instance(148, 4, 8, 6, 8)
+        res = hihtp(H, y, HiSparsity.uniform(3, 2, H.num_blocks), SolverConfig())
+        assert res.stop_reason == STOP_MAX_ITERS and calls["refit"] >= 6
+        assert calls["validate"] == calls["refit"]
 
     @pytest.mark.parametrize("max_iters", [9, 10, 50])
     def test_htp_flat_period_two(self, monkeypatch, max_iters):
