@@ -8,6 +8,7 @@ nonzero entries and block i holds at most sigma_i of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -53,6 +54,11 @@ class BlockStructure:
 
     def offset(self, i: int) -> int:
         return self._offsets[i]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """offset(i) of every block, as an intp array of length N."""
+        return np.asarray(self._offsets[:-1], dtype=np.intp)
 
     def block_slice(self, i: int) -> slice:
         return slice(self._offsets[i], self._offsets[i + 1])
@@ -221,6 +227,29 @@ class HiSupport:
         return local + starts.repeat(counts)
 
 
+@functools.lru_cache(maxsize=16)
+def _threshold_groups(structure: BlockStructure, sigma: tuple[int, ...]):
+    """The blocks with sigma_i > 0 grouped by (n_i, sigma_i).
+
+    Returns (groups, slots).  groups[g - 1] is (sigma, block indices, (c, n)
+    flat indices of the c blocks) for group g >= 1, in order of first
+    appearance, with read-only arrays; slots[i] is block i's (group, row),
+    and (0, 0) for a block with sigma_i = 0."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(zip(structure.block_sizes, sigma)):
+        if key[1]:
+            members.setdefault(key, []).append(i)
+    groups, slots = [], [(0, 0)] * structure.num_blocks
+    for g, ((n, sig), blocks) in enumerate(members.items(), start=1):
+        idx = np.array(blocks, dtype=np.intp)
+        flat = structure.starts[idx, None] + np.arange(n)
+        idx.flags.writeable = flat.flags.writeable = False
+        groups.append((sig, idx, flat))
+        for r, b in enumerate(blocks):
+            slots[b] = (g, r)
+    return tuple(groups), tuple(slots)
+
+
 def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]:
     """Best (s, sigma)-sparse approximation of x in the 2-norm.
 
@@ -229,46 +258,53 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     entries; the s top-scoring blocks survive and everything else is zeroed.
     Ties (equal magnitudes or equal scores) keep the lower index.
     Non-finite coefficients raise ValueError.
+
+    The blocks sharing (n_i, sigma_i) are thresholded together as one
+    (c, n) array of magnitudes: one row-wise partition finds each row's
+    sigma-th largest magnitude t, and a row keeps its entries above t plus,
+    in index order, as many entries equal to t as fill sigma -- the first
+    sigma of a stable descending sort.  Scores are row sums of the kept
+    squared magnitudes in ascending coordinate order, as a per-block loop
+    would add them.
     """
     st = x.structure
     k.validate_for(st)
     if not np.isfinite(x.coeffs).all():
         raise ValueError("cannot threshold non-finite coefficients")
-    kept: list[np.ndarray] = []
+    groups, slots = _threshold_groups(st, k.sigma)
+    mag = np.abs(x.coeffs)
     scores = np.zeros(st.num_blocks)
-    for i in range(st.num_blocks):
-        b = x.block(i)
-        sig = k.sigma[i]
-        if sig == 0:
-            kept.append(np.empty(0, dtype=np.intp))
-            continue
-        order = np.argsort(-np.abs(b), kind="stable")
-        local = np.sort(order[:sig])
-        kept.append(local)
-        scores[i] = float(np.sum(np.abs(b[local]) ** 2))
-    winners = np.sort(np.argsort(-scores, kind="stable")[: k.s])
+    # picked[g]: the (c, sigma) global columns group g keeps per block;
+    # picked[0] serves the blocks with sigma_i = 0
+    picked = [np.empty((1, 0), dtype=np.intp)]
+    for sig, idx, flat in groups:
+        rows = mag[flat]
+        n = flat.shape[1]
+        t = np.partition(rows, n - sig, axis=1)[:, n - sig, None]
+        keep = rows >= t
+        if np.count_nonzero(keep) > idx.size * sig:  # ties at t
+            above = rows > t
+            at = rows == t
+            room = sig - np.count_nonzero(above, axis=1, keepdims=True)
+            keep = above | (at & (np.cumsum(at, axis=1) <= room))
+        pos = np.flatnonzero(keep)  # row-major: each row's kept entries ascending
+        scores[idx] = np.sum(rows.reshape(-1)[pos].reshape(-1, sig) ** 2, axis=1)
+        picked.append(flat.reshape(-1)[pos].reshape(-1, sig))
+    winners = np.sort(np.argsort(-scores, kind="stable")[: k.s]).tolist()
+    cols = [picked[g][r] for g, r in map(slots.__getitem__, winners)]
 
     out = BlockVector.zeros(st)
-    entries: dict[int, tuple[int, ...]] = {}
-    for i in winners:
-        i = int(i)
-        out.block(i)[kept[i]] = x.block(i)[kept[i]]
-        entries[i] = tuple(int(c) for c in kept[i])
-    return out, HiSupport(tuple(int(i) for i in winners), entries)
+    kept = np.concatenate(cols)
+    out.coeffs[kept] = x.coeffs[kept]
+    entries = {i: (c - st.offset(i)).tolist() for i, c in zip(winners, cols)}
+    return out, HiSupport(tuple(winners), entries)
 
 
 def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:
     """True iff at most s blocks are nonzero and block i has <= sigma_i nonzeros."""
     k.validate_for(x.structure)
-    active = 0
-    for i in range(x.structure.num_blocks):
-        nnz = int(np.count_nonzero(x.block(i)))
-        if nnz == 0:
-            continue
-        active += 1
-        if nnz > k.sigma[i]:
-            return False
-    return active <= k.s
+    nnz = np.add.reduceat(x.coeffs != 0, x.structure.starts)
+    return bool(np.count_nonzero(nnz) <= k.s and (nnz <= np.asarray(k.sigma)).all())
 
 
 def restrict(x: BlockVector, support: HiSupport) -> BlockVector:
@@ -281,6 +317,5 @@ def restrict(x: BlockVector, support: HiSupport) -> BlockVector:
 
 def block_norms(x: BlockVector) -> np.ndarray:
     """Per-block 2-norms as a float array of length N."""
-    return np.asarray(
-        [float(np.linalg.norm(x.block(i))) for i in range(x.structure.num_blocks)]
-    )
+    c = x.coeffs
+    return np.sqrt(np.add.reduceat(c.real**2 + c.imag**2, x.structure.starts))

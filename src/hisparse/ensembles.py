@@ -11,9 +11,15 @@ or in parallel without changing results.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+# subsampled_dft caches one phase table per n only while the table holds at
+# most this many entries (16 MiB at complex128); larger n take the direct
+# formula.
+PHASE_TABLE_MAX_ENTRIES = 1 << 20
 
 
 def zigzag(v: int) -> int:
@@ -62,19 +68,45 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
     return mat
 
 
+def _dft_phases(products: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2*pi*i*p/n) for every integer p in `products`."""
+    return np.exp(products * (-2j * np.pi / n))
+
+
+@functools.lru_cache(maxsize=4)
+def _dft_phase_table(n: int) -> np.ndarray:
+    """Read-only _dft_phases of every product 0..(n-1)^2."""
+    table = _dft_phases(np.arange((n - 1) ** 2 + 1), n)
+    table.flags.writeable = False
+    return table
+
+
 def subsampled_dft(m: int, n: int, seed) -> np.ndarray:
     """m distinct rows of the n x n DFT, scaled by 1/sqrt(m).
 
     Rows are drawn uniformly without replacement and kept in ascending
     order; entry (r, k) is exp(-2*pi*i*row_r*k/n)/sqrt(m), so every column
     has unit 2-norm.
+
+    Entries are looked up by the integer product row_r*k in a table of
+    exp(-2*pi*i*p/n) for p = 0..(n-1)^2.  Each table entry is exp of the
+    same float phase p*(-2*pi*i/n) the direct formula evaluates, so the
+    matrix is bit-identical to it.  The table is cached for the last few n
+    and costs 16*((n-1)^2 + 1) bytes per cached n (625 KiB at n = 200);
+    when it would exceed PHASE_TABLE_MAX_ENTRIES the formula is evaluated
+    directly instead.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = as_rng(seed)
     rows = np.sort(rng.choice(n, size=m, replace=False))
-    phase = np.outer(rows, np.arange(n)) * (-2j * np.pi / n)
-    return np.exp(phase) / math.sqrt(m)
+    products = np.outer(rows, np.arange(n))
+    if (n - 1) ** 2 + 1 <= PHASE_TABLE_MAX_ENTRIES:
+        phases = _dft_phase_table(n)[products]
+    else:
+        phases = _dft_phases(products, n)
+    phases /= math.sqrt(m)
+    return phases
 
 
 def restrict_columns(B: np.ndarray, keep) -> np.ndarray:

@@ -272,10 +272,10 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
 
 def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
     """Zero-pad each block of a shorter-block estimate into `structure`."""
+    src = est.structure
+    shift = structure.starts - src.starts
     out = BlockVector.zeros(structure)
-    for i in range(structure.num_blocks):
-        src = est.block(i)
-        out.block(i)[: src.size] = src
+    out.coeffs[np.arange(src.total_dim) + shift.repeat(src.block_sizes)] = est.coeffs
     return out
 
 

@@ -39,6 +39,13 @@ def generate_signal(
             set(range(structure.num_blocks)) if front_blocks is None
             else {int(b) for b in front_blocks}
         )
+        # every designated block is checked, not only the ones the draw
+        # activates, so a bad configuration fails for every seed
+        for i, sig in enumerate(k.sigma):
+            if i in designated and front_width < sig:
+                raise ValueError(
+                    f"front window {front_width} is smaller than sigma_{i}={sig}"
+                )
     rng = as_rng(seed)
     active = np.sort(rng.choice(structure.num_blocks, size=k.s, replace=False))
     x = BlockVector.zeros(structure)
@@ -49,10 +56,6 @@ def generate_signal(
             continue
         domain = structure.block_sizes[i]
         if designated is not None and i in designated:
-            if front_width < sig:
-                raise ValueError(
-                    f"front window {front_width} is smaller than sigma_{i}={sig}"
-                )
             domain = min(domain, front_width)
         pos = np.sort(rng.choice(domain, size=sig, replace=False))
         x.block(i)[pos] = complex_gaussian(rng, sig)

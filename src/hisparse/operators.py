@@ -82,27 +82,35 @@ class HierarchicalOperator:
         return self._structure.total_dim
 
     def apply(self, x: BlockVector) -> np.ndarray:
-        """Forward measurement; returns a length M*m complex vector."""
+        """Forward measurement; returns a length M*m complex vector.
+
+        All-zero blocks are skipped: their rows of the inner products stay
+        zero, exactly what B_i @ 0 gives."""
         if x.structure != self._structure:
             raise DimensionError("input block structure does not match the operator")
-        m, n_blocks = self.inner_rows, self.num_blocks
-        z = np.empty((n_blocks, m), dtype=np.complex128)
-        for i in range(n_blocks):
-            z[i] = self.Bs[i] @ x.block(i)
+        z = np.zeros((self.num_blocks, self.inner_rows), dtype=np.complex128)
+        nonzero = np.logical_or.reduceat(x.coeffs != 0, self._structure.starts)
+        for i in np.flatnonzero(nonzero):
+            np.matmul(self.Bs[i], x.block(i), out=z[i])
         return (self.A @ z).reshape(-1)
 
     def adjoint_apply(self, y: np.ndarray) -> BlockVector:
-        """Adjoint H* y; block i is sum_j conj(A[j,i]) * (B_i^* y_j)."""
+        """Adjoint H* y; block i is sum_j conj(A[j,i]) * (B_i^* y_j).
+
+        B_i^* w_i is computed as conj(conj(w_i) @ B_i), so no conjugated
+        copy of B_i is made; the products land in the output buffer."""
         y = np.asarray(y, dtype=np.complex128).reshape(-1)
         if y.shape[0] != self.out_dim:
             raise DimensionError(
                 f"measurement has length {y.shape[0]}, operator expects {self.out_dim}"
             )
         ym = y.reshape(self.num_antennas, self.inner_rows)
-        w = self.A.conj().T @ ym  # (N, m); row i mixes the antennas for block i
+        # conj of the (N, m) antenna mix; row i is for block i
+        w = np.conj(self.A.conj().T @ ym)
         out = BlockVector.zeros(self._structure)
-        for i in range(self.num_blocks):
-            out.block(i)[:] = self.Bs[i].conj().T @ w[i]
+        for i, B in enumerate(self.Bs):
+            np.matmul(w[i], B, out=out.block(i))
+        np.conj(out.coeffs, out=out.coeffs)
         return out
 
     def assemble_dense(self, max_entries: int = DENSE_ENTRY_BUDGET) -> np.ndarray:

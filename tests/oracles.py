@@ -80,6 +80,29 @@ def best_hi_approx_residual(x: BlockVector, k: HiSparsity) -> float:
     return float(np.sqrt(max(total - best_kept, 0.0)))
 
 
+def hi_threshold_by_blocks(x: BlockVector, k: HiSparsity):
+    """Per-block loop of hierarchical thresholding: one stable argsort of
+    each block's negated magnitudes keeps its top sigma_i entries, a block
+    scores the sum of their squared magnitudes in ascending coordinate
+    order, and a stable argsort of the negated scores picks s blocks.
+
+    Returns (thresholded BlockVector, HiSupport)."""
+    kept, scores = [], np.zeros(x.structure.num_blocks)
+    for i, sig in enumerate(k.sigma):
+        b = x.block(i)
+        local = np.sort(np.argsort(-np.abs(b), kind="stable")[:sig])
+        kept.append(local)
+        if sig:
+            scores[i] = float(np.sum(np.abs(b[local]) ** 2))
+    winners = np.sort(np.argsort(-scores, kind="stable")[: k.s])
+    out = BlockVector.zeros(x.structure)
+    entries = {}
+    for i in winners.tolist():
+        out.block(i)[kept[i]] = x.block(i)[kept[i]]
+        entries[i] = tuple(kept[i].tolist())
+    return out, HiSupport(tuple(entries), entries)
+
+
 def pair_gram_deviation(B, i, j):
     """Closed-form spectral norm of the 2-column Gram deviation for
     columns i and j of B."""

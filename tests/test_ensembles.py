@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hisparse.ensembles import (
+    PHASE_TABLE_MAX_ENTRIES,
+    as_rng,
     gaussian_matrix,
     restrict_columns,
     spawn_seedseq,
@@ -90,6 +93,18 @@ class TestSubsampledDft:
     def test_m_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             subsampled_dft(9, 8, 0)
+
+    # n = 1030 needs a table of 1029^2 + 1 entries, past the cap
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 12), (50, 200), (7, 333), (3, 1030)])
+    def test_bit_equal_to_direct_formula(self, m, n):
+        assert ((n - 1) ** 2 + 1 > PHASE_TABLE_MAX_ENTRIES) == (n == 1030)
+        for seed in range(10):
+            rows = np.sort(as_rng(seed).choice(n, size=m, replace=False))
+            want = np.exp(np.outer(rows, np.arange(n)) * (-2j * np.pi / n)) / math.sqrt(m)
+            F = subsampled_dft(m, n, seed)
+            assert F.dtype == want.dtype and F.tobytes() == want.tobytes()
+            F[:] = 0  # a draw is the caller's own array, not a view of the table
+            assert subsampled_dft(m, n, seed).tobytes() == want.tobytes()
 
 
 class TestRestrictColumns:

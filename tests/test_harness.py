@@ -113,6 +113,17 @@ class TestGenerateSignal:
                 placement="front-loaded", front_width=3,
             )
 
+    def test_window_too_small_fails_for_every_seed(self):
+        # one active block of ten, and only block 7 is designated: the draw
+        # rarely activates it, so the check must not wait for the draw
+        st = BlockStructure.uniform(10, 30)
+        k = HiSparsity(1, (2,) * 7 + (4,) + (2,) * 2)
+        for seed in range(100):
+            with pytest.raises(ValueError, match="sigma_7=4"):
+                generate_signal(
+                    st, k, seed, placement="front-loaded", front_width=3, front_blocks=(7,)
+                )
+
     def test_deterministic(self):
         st = BlockStructure.uniform(4, 8)
         k = HiSparsity.uniform(2, 2, 4)
@@ -264,6 +275,12 @@ class TestRecoveryGrid:
 
 
 class TestBlockDetection:
+    def test_embed_into_zero_pads_each_block(self):
+        est = BlockVector(BlockStructure((2, 3, 1)), np.arange(1, 7) * (1 - 2j))
+        out = experiments._embed_into(est, BlockStructure((4, 3, 5)))
+        want = np.array([1, 2, 0, 0, 3, 4, 5, 6, 0, 0, 0, 0]) * (1 - 2j)
+        np.testing.assert_array_equal(out.coeffs, want)
+
     def test_two_records_per_trial_sharing_seed(self):
         cfg = tiny_detection_config()
         records, summary, skipped = run_block_detection(cfg)

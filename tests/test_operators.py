@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ class TestAdjoint:
         H = HierarchicalOperator(np.eye(2), (np.eye(2), np.eye(2)))
         with pytest.raises(DimensionError):
             H.adjoint_apply(np.zeros(5))
+
+    def test_no_copy_of_block_matrices(self):
+        # each B_i holds 50 x 4000 entries (3.2 MB); the output 8000 (128 kB)
+        rng = np.random.default_rng(5)
+        A, Bs = random_operator(rng, 3, 2, 50, (4000, 4000))
+        H = HierarchicalOperator(A, Bs)
+        x = random_block_vector(rng, H.structure)
+        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+        tracemalloc.start()
+        try:
+            H.adjoint_apply(y)
+            H.apply(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDenseAssembly:
