@@ -187,11 +187,19 @@ def summarize(records) -> list[dict]:
 
 
 def _run_pool(worker, args_list, threads: int) -> list:
-    if threads <= 1 or len(args_list) <= 1:
+    """Apply worker to every task; return the results in input order.
+
+    Runs serially in this process when threads <= 1 (or there is at most
+    one task).  Otherwise at most min(threads, tasks) forked workers each
+    take one trial per task, so costly cells listed next to each other do
+    not pile onto one worker.  Every trial seeds itself from its own
+    stream, so the results do not depend on threads.
+    """
+    workers = min(threads, len(args_list))
+    if workers <= 1:
         return [worker(a) for a in args_list]
-    chunk = max(1, len(args_list) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, args_list, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, args_list))
 
 
 # ---------------------------------------------------------------- recovery

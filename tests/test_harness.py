@@ -323,6 +323,13 @@ class TestBlockDetection:
         write_trials_csv(run_block_detection(cfg)[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_thread_pool_preserves_records(self, tmp_path):
+        cfg = tiny_detection_config()
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        write_trials_csv(run_block_detection(cfg, threads=1)[0], p1)
+        write_trials_csv(run_block_detection(cfg, threads=2)[0], p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
 
 class TestTheoremVerify:
     def test_small_run_passes_and_round_trips(self, tmp_path):
@@ -357,6 +364,62 @@ class TestTheoremVerify:
         assert info["skipped"] == info["instances"] == 3
         assert info["violations"] == 0
         assert info["worst_slack"] == math.inf
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: starts no process, records
+    max_workers and the size of every group of tasks handed to a worker,
+    and runs the tasks inline."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.groups = []
+        InlinePool.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        tasks = list(iterable)
+        for i in range(0, len(tasks), chunksize):
+            self.groups.append(len(tasks[i:i + chunksize]))
+        return iter([fn(t) for t in tasks])
+
+
+class TestRunPool:
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        monkeypatch.setattr(InlinePool, "created", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        return InlinePool.created
+
+    def test_one_task_per_dispatch_in_input_order(self, inline_pool):
+        out = experiments._run_pool(lambda t: -t, list(range(20)), threads=2)
+        assert out == [-t for t in range(20)]
+        (pool,) = inline_pool
+        assert pool.max_workers == 2
+        assert pool.groups == [1] * 20
+
+    def test_workers_capped_at_task_count(self, inline_pool, tmp_path):
+        cfg = tiny_grid_config(trials=2)
+        pooled = run_recovery_grid(cfg, threads=64)[0]
+        assert len(pooled) == 8
+        (pool,) = inline_pool
+        assert pool.max_workers == 8
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        write_trials_csv(run_recovery_grid(cfg, threads=1)[0], p1)
+        write_trials_csv(pooled, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_serial_path_starts_no_pool(self, inline_pool):
+        assert experiments._run_pool(abs, [-1, -2], threads=1) == [1, 2]
+        assert experiments._run_pool(abs, [-3], threads=4) == [3]
+        assert inline_pool == []
 
 
 class TestConfig:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -220,4 +221,25 @@ class TestValidationAndSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError):
+            load_operator(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
+        path = tmp_path / "x.hiop"
+        save_operator(HierarchicalOperator(A, Bs), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_operator(path)
+
+    def test_block_sizes_length_mismatch(self, tmp_path):
+        rng = np.random.default_rng(13)
+        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
+        path = tmp_path / "h.hiop"
+        save_operator(HierarchicalOperator(A, Bs), path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["block_sizes"] = fields["block_sizes"][:-1]
+        path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
+        with pytest.raises(ValueError, match="block_sizes"):
             load_operator(path)
