@@ -1,6 +1,6 @@
 """Command line entry point.
 
-    hisparse recovery-grid    [--config cfg.json] [--paper-scale] [--seed N]
+    hisparse recovery-grid    [--config cfg.json | --paper-scale] [--seed N]
                               [--out DIR] [--threads T]
     hisparse block-detection  (same flags)
     hisparse theorem-verify   (same flags)
@@ -51,8 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name in (SCENARIO_RECOVERY, SCENARIO_DETECTION, SCENARIO_THEOREM):
         p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON config mirroring ExperimentConfig")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", type=Path, default=None,
+                            help="JSON config mirroring ExperimentConfig")
+        source.add_argument("--paper-scale", action="store_true",
+                            help="use the full-size experiment dimensions")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--out", type=Path, default=None,
@@ -60,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "to the config's output_path or the cwd")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for the trial pool")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="use the full-size experiment dimensions")
     return parser
 
 

@@ -37,7 +37,8 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_path: str | None = None
     # block-detection extras: which blocks have short delay spreads and how
-    # short; None designates the first N//2 blocks.
+    # short; None designates the first N//2 blocks, otherwise distinct
+    # indices in [0, N), kept sorted.
     front_width: int = 10
     short_blocks: tuple[int, ...] | None = None
     # wall_millis is zeroed in trials.csv unless this is set, keeping two
@@ -60,6 +61,12 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if min(self.M) < 1 or self.N < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")
+        if self.short_blocks is not None:
+            short = self.short_blocks = tuple(sorted(int(b) for b in self.short_blocks))
+            if len(set(short)) != len(short):
+                raise ValueError(f"short_blocks repeats an index: {short}")
+            if any(not 0 <= b < self.N for b in short):
+                raise ValueError(f"short_blocks must lie in [0, N = {self.N}): {short}")
 
     def block_sizes(self) -> tuple[int, ...]:
         if isinstance(self.block_lengths, int):
@@ -70,7 +77,7 @@ class ExperimentConfig:
 
     def designated_short_blocks(self) -> tuple[int, ...]:
         if self.short_blocks is not None:
-            return tuple(sorted(self.short_blocks))
+            return self.short_blocks
         return tuple(range(self.N // 2))
 
     def to_dict(self) -> dict:

@@ -14,9 +14,10 @@ import itertools
 import logging
 import math
 import time
+import typing
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,11 +59,6 @@ from .signals import (
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = (
-    "scenario", "s", "sigma", "M", "N", "m", "snr_db", "mode", "trial",
-    "seed", "mse", "success", "detection_rate", "iterations", "wall_millis",
-)
-
 MODE_UNIFORM = "uniform"
 MODE_MIXED = "mixed"
 
@@ -74,7 +70,9 @@ _SNR_INF_KEY = 1 << 40
 
 @dataclass
 class TrialRecord:
-    """One Monte Carlo outcome; fields mirror the trials.csv columns."""
+    """One Monte Carlo outcome.  The fields, in order, are the trials.csv
+    columns; write_trials_csv and read_trials_csv format and parse each by
+    its declared type."""
 
     scenario: str
     s: int
@@ -93,18 +91,20 @@ class TrialRecord:
     wall_millis: float
 
 
+_FIELD_TYPES = typing.get_type_hints(TrialRecord)
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+_FORMAT = {float: lambda v: repr(float(v)), bool: int, int: str, str: str}
+_PARSE = {float: float, bool: lambda text: bool(int(text)), int: int, str: str}
+
+
 def _snr_key(snr_db: float) -> int:
     if math.isinf(snr_db):
         return _SNR_INF_KEY
     return int(round(snr_db * 1_000_000))
 
 
-def _float_str(v: float) -> str:
-    return repr(float(v))
-
-
 def write_trials_csv(records, path, measured_timing: bool = False) -> None:
-    """Write records in the fixed column schema.
+    """Write records in the TrialRecord column schema.
 
     wall_millis is written as 0 unless measured_timing is set: wall time is
     the one nondeterministic field, and by default two identical runs must
@@ -114,41 +114,17 @@ def write_trials_csv(records, path, measured_timing: bool = False) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in records:
-            w.writerow(
-                [
-                    r.scenario, r.s, r.sigma, r.M, r.N, r.m,
-                    _float_str(r.snr_db), r.mode, r.trial, r.seed,
-                    _float_str(r.mse), int(r.success),
-                    _float_str(r.detection_rate), r.iterations,
-                    int(round(r.wall_millis)) if measured_timing else 0,
-                ]
-            )
+            row = {c: _FORMAT[_FIELD_TYPES[c]](getattr(r, c)) for c in CSV_COLUMNS}
+            row["wall_millis"] = round(r.wall_millis) if measured_timing else 0
+            w.writerow(row.values())
 
 
 def read_trials_csv(path) -> list[TrialRecord]:
-    out = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                TrialRecord(
-                    scenario=row["scenario"],
-                    s=int(row["s"]),
-                    sigma=int(row["sigma"]),
-                    M=int(row["M"]),
-                    N=int(row["N"]),
-                    m=int(row["m"]),
-                    snr_db=float(row["snr_db"]),
-                    mode=row["mode"],
-                    trial=int(row["trial"]),
-                    seed=int(row["seed"]),
-                    mse=float(row["mse"]),
-                    success=bool(int(row["success"])),
-                    detection_rate=float(row["detection_rate"]),
-                    iterations=int(row["iterations"]),
-                    wall_millis=float(row["wall_millis"]),
-                )
-            )
-    return out
+        return [
+            TrialRecord(**{c: _PARSE[_FIELD_TYPES[c]](row[c]) for c in CSV_COLUMNS})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def summarize(records) -> list[dict]:
@@ -158,18 +134,11 @@ def summarize(records) -> list[dict]:
     order; each row carries the trial count, success rate, mean MSE and
     mean detection rate.
     """
-    order = []
     groups: dict[tuple, list[TrialRecord]] = {}
     for r in records:
-        key = (r.s, r.sigma, r.M, r.snr_db, r.mode)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.s, r.sigma, r.M, r.snr_db, r.mode), []).append(r)
     rows = []
-    for key in order:
-        rs = groups[key]
-        s, sigma, M, snr_db, mode = key
+    for (s, sigma, M, snr_db, mode), rs in groups.items():
         rows.append(
             {
                 "s": s,
@@ -202,41 +171,73 @@ def _run_pool(worker, args_list, threads: int) -> list:
         return list(pool.map(worker, args_list))
 
 
+# ------------------------------------------------------------ trial pipeline
+
+
+def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: float,
+             **placement):
+    """Draw A and the B_i, plant a k-sparse signal (placed per `placement`,
+    see generate_signal), measure it and add noise at snr_db; each draw
+    comes from its own stream under `ids`.
+
+    Returns the operator, the noisy measurements and what every solve of
+    the trial is scored against: (signal, noise floor, active blocks).
+    """
+    seed = cfg.master_seed
+    sizes = cfg.block_sizes()
+    A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
+    Bs = tuple(
+        subsampled_dft(cfg.m, n, spawn_seedseq(seed, *ids, _ROLE_B, i))
+        for i, n in enumerate(sizes)
+    )
+    H = HierarchicalOperator(A, Bs)
+    x_true = generate_signal(
+        BlockStructure(sizes), k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL), **placement
+    )
+    y_clean = H.apply(x_true)
+    y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
+    truth = (
+        x_true,
+        noise_floor(y_clean, snr_db, x_true),
+        HiSupport.of_nonzeros(x_true).active_blocks,
+    )
+    return H, y, truth
+
+
+def _solve(cfg: ExperimentConfig, H, y, k: HiSparsity, truth, mode: str,
+           **cell) -> TrialRecord:
+    """One timed hihtp solve, scored against `truth` from _measure.
+
+    A mixed-mode estimate is zero-padded to the signal's blocks first.
+    `cell` holds the record fields the trial fixes: scenario, s, sigma, M,
+    snr_db, trial and seed.
+    """
+    x_true, floor, true_active = truth
+    t0 = time.perf_counter()
+    res = hihtp(H, y, k, cfg.solver)
+    wall = (time.perf_counter() - t0) * 1e3
+    est = res.estimate if mode == MODE_UNIFORM else _embed_into(res.estimate, x_true.structure)
+    err = mse(x_true, est)
+    return TrialRecord(
+        **cell, N=cfg.N, m=cfg.m, mode=mode, mse=err, success=err <= floor,
+        detection_rate=detection_rate(true_active, res.support.active_blocks, k.s),
+        iterations=res.iterations, wall_millis=wall,
+    )
+
+
 # ---------------------------------------------------------------- recovery
 
 
 def _recovery_trial(args) -> TrialRecord:
     cfg, s, sigma, snr_db, trial = args
     M = cfg.M[0]
-    sizes = cfg.block_sizes()
-    structure = BlockStructure(sizes)
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_RECOVERY, s, sigma, _snr_key(snr_db), trial)
-    seed = cfg.master_seed
-
-    A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
-    Bs = tuple(
-        subsampled_dft(cfg.m, sizes[i], spawn_seedseq(seed, *ids, _ROLE_B, i))
-        for i in range(cfg.N)
-    )
-    H = HierarchicalOperator(A, Bs)
-    x_true = generate_signal(structure, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL))
-    y_clean = H.apply(x_true)
-    y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
-
-    t0 = time.perf_counter()
-    res = hihtp(H, y, k, cfg.solver)
-    wall = (time.perf_counter() - t0) * 1e3
-
-    err = mse(x_true, res.estimate)
-    floor = noise_floor(y_clean, snr_db, x_true)
-    true_active = HiSupport.of_nonzeros(x_true).active_blocks
-    rate = detection_rate(true_active, res.support.active_blocks, s)
-    return TrialRecord(
-        scenario=SCENARIO_RECOVERY, s=s, sigma=sigma, M=M, N=cfg.N, m=cfg.m,
-        snr_db=snr_db, mode=MODE_UNIFORM, trial=trial,
-        seed=stream_fingerprint(seed, *ids), mse=err, success=err <= floor,
-        detection_rate=rate, iterations=res.iterations, wall_millis=wall,
+    H, y, truth = _measure(cfg, ids, M, k, snr_db)
+    return _solve(
+        cfg, H, y, k, truth, MODE_UNIFORM, scenario=SCENARIO_RECOVERY, s=s,
+        sigma=sigma, M=M, snr_db=snr_db, trial=trial,
+        seed=stream_fingerprint(cfg.master_seed, *ids),
     )
 
 
@@ -290,53 +291,26 @@ def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
 def _detection_trial(args) -> list[TrialRecord]:
     cfg, M, snr_db, trial = args
     s, sigma = cfg.s_values[0], cfg.sigma_values[0]
-    n = cfg.block_sizes()
-    structure = BlockStructure(n)
     k = HiSparsity.uniform(s, sigma, cfg.N)
     short = cfg.designated_short_blocks()
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
-    seed = cfg.master_seed
-
-    A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
-    Bs = tuple(
-        subsampled_dft(cfg.m, n[i], spawn_seedseq(seed, *ids, _ROLE_B, i))
-        for i in range(cfg.N)
-    )
-    H_uniform = HierarchicalOperator(A, Bs)
-    x_true = generate_signal(
-        structure, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL),
+    H, y, truth = _measure(
+        cfg, ids, M, k, snr_db,
         placement=PLACEMENT_FRONT, front_width=cfg.front_width, front_blocks=short,
     )
-    y_clean = H_uniform.apply(x_true)
-    y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
-    true_active = HiSupport.of_nonzeros(x_true).active_blocks
-    floor = noise_floor(y_clean, snr_db, x_true)
-    fingerprint = stream_fingerprint(seed, *ids)
-
     # same measurements solved twice: without and with the short-block prior
-    Bs_mixed = tuple(
-        restrict_columns(Bs[i], range(cfg.front_width)) if i in short else Bs[i]
-        for i in range(cfg.N)
+    H_mixed = HierarchicalOperator(H.A, tuple(
+        restrict_columns(B, range(cfg.front_width)) if i in short else B
+        for i, B in enumerate(H.Bs)
+    ))
+    cell = dict(
+        scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
+        seed=stream_fingerprint(cfg.master_seed, *ids),
     )
-    H_mixed = HierarchicalOperator(A, Bs_mixed)
-
-    records = []
-    for mode, H in ((MODE_UNIFORM, H_uniform), (MODE_MIXED, H_mixed)):
-        t0 = time.perf_counter()
-        res = hihtp(H, y, k, cfg.solver)
-        wall = (time.perf_counter() - t0) * 1e3
-        est = res.estimate if mode == MODE_UNIFORM else _embed_into(res.estimate, structure)
-        err = mse(x_true, est)
-        rate = detection_rate(true_active, res.support.active_blocks, s)
-        records.append(
-            TrialRecord(
-                scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, N=cfg.N,
-                m=cfg.m, snr_db=snr_db, mode=mode, trial=trial, seed=fingerprint,
-                mse=err, success=err <= floor, detection_rate=rate,
-                iterations=res.iterations, wall_millis=wall,
-            )
-        )
-    return records
+    return [
+        _solve(cfg, H, y, k, truth, MODE_UNIFORM, **cell),
+        _solve(cfg, H_mixed, y, k, truth, MODE_MIXED, **cell),
+    ]
 
 
 def run_block_detection(cfg: ExperimentConfig, threads: int = 1):

@@ -32,7 +32,6 @@ class SolverConfig:
     """
 
     max_iters: int = 50
-    support_stall_stop: bool = True
     residual_tol: float = 1e-7
 
     def __post_init__(self):
@@ -109,7 +108,7 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
         seen = refits.get(new_support)
         if seen is not None:
             j = seen[0]
-            if cfg.support_stall_stop and j == t - 1:
+            if j == t - 1:
                 # the previous refit already solved this support
                 return SolverResult(x, new_support, t, residual, True, STOP_SUPPORT_REPEAT)
             # A refit depends on its support alone, so iterations j .. t-1

@@ -139,8 +139,7 @@ def random_hi_sparse(rng, structure: BlockStructure, k: HiSparsity) -> BlockVect
     return x
 
 
-def reference_pursuit(H, y, project, max_iters=50, support_stall_stop=True,
-                      residual_tol=1e-7):
+def reference_pursuit(H, y, project, max_iters=50, residual_tol=1e-7):
     """Reference pursuit loop that runs every iteration: no periodic-tail
     skip, the residual recomputed after each refit, and the refit a dense
     lstsq on the assembled support columns.
@@ -176,7 +175,7 @@ def reference_pursuit(H, y, project, max_iters=50, support_stall_stop=True,
         grad = H.adjoint_apply(y - H.apply(x))
         u = BlockVector(H.structure, x.coeffs + grad.coeffs)
         x_thr, new_support = project(u)
-        if support_stall_stop and new_support == prev_support:
+        if new_support == prev_support:
             support = new_support
             converged = True
             stop = "support-repeat"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,16 +248,25 @@ class TestRecoveryGrid:
         assert len(records) == 1 * cfg.trials
 
     def test_csv_round_trip_and_schema(self, tmp_path):
-        cfg = tiny_grid_config()
-        records, _, _ = run_recovery_grid(cfg)
         path = tmp_path / "trials.csv"
-        write_trials_csv(records, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(CSV_COLUMNS)
-        back = read_trials_csv(path)
-        assert [r.seed for r in back] == [r.seed for r in records]
-        assert [r.mse for r in back] == [r.mse for r in records]
-        assert summarize(back) == summarize(records)
+        for run, cfg in ((run_recovery_grid, tiny_grid_config(snr_db=(10.0, math.inf))),
+                         (run_block_detection, tiny_detection_config())):
+            records = run(cfg)[0]
+            write_trials_csv(records, path)
+            header = path.read_text().splitlines()[0]
+            assert header == ",".join(CSV_COLUMNS)
+            back = read_trials_csv(path)
+            assert back == [dataclasses.replace(r, wall_millis=0.0) for r in records]
+            assert summarize(back) == summarize(records)
+            write_trials_csv(records, path, measured_timing=True)
+            assert read_trials_csv(path) == [
+                dataclasses.replace(r, wall_millis=float(round(r.wall_millis)))
+                for r in records
+            ]
+
+    def test_readme_lists_the_csv_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert ",".join(CSV_COLUMNS) in readme.splitlines()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_grid_config()
@@ -424,11 +435,17 @@ class TestRunPool:
 
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
-        cfg = tiny_grid_config(snr_db=(10.0, math.inf))
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
-        back = ExperimentConfig.from_json(path)
-        assert back == cfg
+        for cfg in (tiny_grid_config(snr_db=(10.0, math.inf)),
+                    tiny_detection_config(short_blocks=(4, 1))):
+            cfg.to_json(path)
+            back = ExperimentConfig.from_json(path)
+            assert back == cfg
+
+    @pytest.mark.parametrize("short_blocks", [(7, -1, 9), (0, 6), (-1,), (2, 1, 2)])
+    def test_short_blocks_outside_blocks_or_repeated_rejected(self, short_blocks):
+        with pytest.raises(ValueError, match="short_blocks"):
+            tiny_detection_config(short_blocks=short_blocks)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -436,10 +453,11 @@ class TestConfig:
 
     def test_removed_solver_keys_rejected(self):
         d = tiny_grid_config().to_dict()
-        d["solver"].update(ls_tol=1e-10, ls_max_iters=1000, ls_direct_threshold=600)
+        d["solver"].update(ls_tol=1e-10, ls_max_iters=1000, ls_direct_threshold=600,
+                           support_stall_stop=True)
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict(d)
-        for key in ("ls_tol", "ls_max_iters", "ls_direct_threshold"):
+        for key in ("ls_tol", "ls_max_iters", "ls_direct_threshold", "support_stall_stop"):
             assert key in str(err.value)
 
     def test_presets_valid(self):
@@ -532,4 +550,14 @@ class TestCli:
             cli_main(["recovery-grid", "--threads", threads, "--out", str(tmp_path)])
         assert err.value.code == 2  # argparse usage error
         assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "trials.csv").exists()
+
+    def test_config_and_paper_scale_rejected_together(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        tiny_grid_config().to_json(cfg_path)
+        with pytest.raises(SystemExit) as err:
+            cli_main(["recovery-grid", "--config", str(cfg_path), "--paper-scale",
+                      "--out", str(tmp_path)])
+        assert err.value.code == 2  # argparse usage error
+        assert "--paper-scale" in capsys.readouterr().err
         assert not (tmp_path / "trials.csv").exists()

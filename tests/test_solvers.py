@@ -172,7 +172,7 @@ class TestHihtp:
         rng = np.random.default_rng(12)
         H = desk_operator(13, M=5, N=6, m=6, n=8)
         y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
-        cfg = SolverConfig(max_iters=1, support_stall_stop=False, residual_tol=0.0)
+        cfg = SolverConfig(max_iters=1, residual_tol=0.0)
         res = hihtp(H, y, HiSparsity.uniform(2, 2, 6), cfg)
         assert res.iterations == 1
         assert res.stop_reason == STOP_MAX_ITERS
@@ -320,7 +320,7 @@ class TestCycleSkip:
     @staticmethod
     def assert_matches_reference(res, H, y, project, cfg):
         x, support, iterations, residual, converged, stop = reference_pursuit(
-            H, y, project, cfg.max_iters, cfg.support_stall_stop, cfg.residual_tol
+            H, y, project, cfg.max_iters, cfg.residual_tol
         )
         np.testing.assert_array_equal(res.estimate.coeffs, x.coeffs)
         assert res.support == support
@@ -373,16 +373,3 @@ class TestCycleSkip:
         res = htp_flat(H, y, 4, cfg)
         assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
         self.assert_matches_reference(res, H, y, flat_top_k(H.structure, 4), cfg)
-
-    def test_fixed_point_without_stall_stop(self, monkeypatch):
-        # with the stall stop this instance stops on a support repeat, so
-        # without it the repeat is a cycle of period 1
-        H, y = self.noisy_instance(0)
-        k = HiSparsity.uniform(2, 2, 6)
-        assert hihtp(H, y, k).stop_reason == STOP_SUPPORT_REPEAT
-        cfg = SolverConfig(max_iters=20, support_stall_stop=False)
-        calls = self.count_refits(monkeypatch)
-        res = hihtp(H, y, k, cfg)
-        assert len(calls) < res.iterations == 20
-        assert len(set(calls)) == len(calls)  # no support was refit twice
-        self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
