@@ -11,7 +11,6 @@ from .blocks import (
     block_norms,
     hi_threshold,
     is_hi_sparse,
-    restrict,
 )
 from .ensembles import (
     gaussian_matrix,
@@ -20,24 +19,17 @@ from .ensembles import (
     subsampled_dft,
 )
 from .errors import BudgetError, DimensionError
-from .operators import (
-    HierarchicalOperator,
-    kronecker_operator,
-    load_operator,
-    save_operator,
-)
+from .operators import HierarchicalOperator, kronecker_operator
 from .riplab import (
     RipEstimate,
     column_necessity_check,
-    gram_matrix,
     hirip_bound,
     hirip_constant_exact,
     lemma1_check,
     prop1_check,
     rip_constant_exact,
-    rip_constant_randomized,
 )
-from .solvers import SolverConfig, SolverResult, hihtp, htp_flat, least_squares_on_support
+from .solvers import SolverConfig, SolverResult, hihtp, htp_flat
 
 __version__ = "0.1.0"
 
@@ -55,7 +47,6 @@ __all__ = [
     "block_norms",
     "column_necessity_check",
     "gaussian_matrix",
-    "gram_matrix",
     "hi_threshold",
     "hihtp",
     "hirip_bound",
@@ -63,15 +54,10 @@ __all__ = [
     "htp_flat",
     "is_hi_sparse",
     "kronecker_operator",
-    "least_squares_on_support",
     "lemma1_check",
-    "load_operator",
     "prop1_check",
-    "restrict",
     "restrict_columns",
     "rip_constant_exact",
-    "rip_constant_randomized",
-    "save_operator",
     "spawn_seedseq",
     "subsampled_dft",
 ]

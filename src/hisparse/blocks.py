@@ -84,10 +84,6 @@ class HiSparsity:
     def uniform(cls, s: int, sigma: int, num_blocks: int) -> "HiSparsity":
         return cls(s, (sigma,) * num_blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.sigma)
-
     def validate_for(self, structure: BlockStructure) -> None:
         if len(self.sigma) != structure.num_blocks:
             raise DimensionError(
@@ -104,8 +100,7 @@ class BlockVector:
     """A complex coefficient vector carrying its block structure.
 
     The coefficient buffer is one flat complex128 array; blocks are views
-    into it.  The buffer is owned by the vector: callers that need an
-    independent copy use .copy().
+    into it.
     """
 
     structure: BlockStructure
@@ -130,14 +125,8 @@ class BlockVector:
         """View of block i (no copy)."""
         return self.coeffs[self.structure.block_slice(i)]
 
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.structure, self.coeffs.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def __len__(self) -> int:
-        return self.structure.total_dim
 
 
 @dataclass(frozen=True)
@@ -171,13 +160,6 @@ class HiSupport:
     @classmethod
     def empty(cls) -> "HiSupport":
         return cls((), {})
-
-    @classmethod
-    def full(cls, structure: BlockStructure) -> "HiSupport":
-        return cls(
-            tuple(range(structure.num_blocks)),
-            {i: tuple(range(n)) for i, n in enumerate(structure.block_sizes)},
-        )
 
     @classmethod
     def of_columns(cls, structure: BlockStructure, cols) -> "HiSupport":
@@ -305,14 +287,6 @@ def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:
     k.validate_for(x.structure)
     nnz = np.add.reduceat(x.coeffs != 0, x.structure.starts)
     return bool(np.count_nonzero(nnz) <= k.s and (nnz <= np.asarray(k.sigma)).all())
-
-
-def restrict(x: BlockVector, support: HiSupport) -> BlockVector:
-    """Copy of x with every coordinate outside the support zeroed."""
-    cols = support.column_indices(x.structure)
-    out = BlockVector.zeros(x.structure)
-    out.coeffs[cols] = x.coeffs[cols]
-    return out
 
 
 def block_norms(x: BlockVector) -> np.ndarray:

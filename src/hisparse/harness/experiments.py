@@ -332,6 +332,12 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("infeasible sparsity for the configured blocks")
     if cfg.front_width < sigma:
         raise ValueError("front_width must be at least sigma")
+    narrowest = min((n[i] for i in cfg.designated_short_blocks()), default=cfg.front_width)
+    if cfg.front_width > narrowest:
+        raise ValueError(
+            f"front_width {cfg.front_width} exceeds the shortest designated "
+            f"short block ({narrowest} columns)"
+        )
     args = [
         (cfg, M, snr, trial)
         for M in cfg.M

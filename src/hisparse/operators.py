@@ -12,7 +12,6 @@ matrices are plain complex128 numpy arrays throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import BudgetError, DimensionError
 # assemble_dense refuses to materialize more complex entries than this
 # (50e6 entries ~ 800 MB at complex128) unless the caller raises the cap.
 DENSE_ENTRY_BUDGET = 50_000_000
-
-_MAGIC = b"HIOPv1\n"
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -155,50 +152,3 @@ def kronecker_operator(A, B) -> HierarchicalOperator:
     B = _as_matrix(B)
     return HierarchicalOperator(A, (B,) * A.shape[1])
 
-
-def save_operator(H: HierarchicalOperator, path) -> None:
-    """Write an operator to the HIOPv1 container.
-
-    Layout: magic b"HIOPv1\\n"; one JSON header line with M, N, m and
-    block_sizes; then the entries of A followed by B_0..B_{N-1}, each
-    row-major with every complex value stored as two little-endian float64
-    (real then imaginary).
-    """
-    header = {
-        "M": H.num_antennas,
-        "N": H.num_blocks,
-        "m": H.inner_rows,
-        "block_sizes": list(H.structure.block_sizes),
-    }
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(H.A, dtype="<c16").tobytes())
-        for B in H.Bs:
-            fh.write(np.ascontiguousarray(B, dtype="<c16").tobytes())
-
-
-def load_operator(path) -> HierarchicalOperator:
-    """Read an operator written by save_operator."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a HIOPv1 container: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
-        M, N, m = header["M"], header["N"], header["m"]
-        sizes = header["block_sizes"]
-        if len(sizes) != N:
-            raise ValueError("header block_sizes length does not match N")
-
-        def read_mat(rows, cols):
-            raw = fh.read(rows * cols * 16)
-            if len(raw) != rows * cols * 16:
-                raise ValueError("container truncated")
-            return np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(np.complex128)
-
-        A = read_mat(M, N)
-        Bs = tuple(read_mat(m, n) for n in sizes)
-        if fh.read(1):
-            raise ValueError("trailing bytes after operator payload")
-    return HierarchicalOperator(A, Bs)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockStructure, BlockVector, HiSparsity, HiSupport
+from .blocks import BlockStructure, HiSparsity, HiSupport
 from .errors import BudgetError
-from .ensembles import as_rng
 from .operators import DENSE_ENTRY_BUDGET, HierarchicalOperator
 
 # Exhaustive enumeration refuses to walk more supports than this.
@@ -36,22 +35,16 @@ _PRUNE_MIN = 32
 
 @dataclass(frozen=True)
 class RipEstimate:
-    """An enumerated (or sampled) restricted-isometry constant.
+    """An exactly enumerated restricted-isometry constant.
 
-    In exact mode supports_examined is the full support count and delta is
-    the true constant; in randomized mode delta is only a lower bound.
-    argmax_support is the support achieving delta: a tuple of column
-    indices for flat RIP, a HiSupport for the hierarchical constant.
+    supports_examined is the full support count and delta is the true
+    constant; argmax_support is the support achieving delta: a tuple of
+    column indices for flat RIP, a HiSupport for the hierarchical constant.
     """
 
     delta: float
-    mode: str  # "exact-enumeration" | "randomized-lower-bound"
     supports_examined: int
     argmax_support: object
-
-
-def flat_support_count(cols: int, order: int) -> int:
-    return math.comb(cols, order)
 
 
 def hierarchical_support_count(structure: BlockStructure, k: HiSparsity) -> int:
@@ -193,38 +186,11 @@ def rip_constant_exact(
     cols = B.shape[1]
     if not 1 <= order <= cols:
         raise ValueError(f"need 1 <= order <= {cols}, got {order}")
-    count = flat_support_count(cols, order)
+    count = math.comb(cols, order)
     if count > budget:
-        raise BudgetError(
-            f"{count} supports exceed the enumeration budget {budget}; "
-            "use rip_constant_randomized for a lower bound"
-        )
+        raise BudgetError(f"{count} supports exceed the enumeration budget {budget}")
     delta, _, row, examined = _max_deviation(B, [(None, _combinations(cols, order))])
-    return RipEstimate(delta, "exact-enumeration", examined, tuple(row.tolist()))
-
-
-def rip_constant_randomized(
-    B: np.ndarray, order: int, trials: int, seed
-) -> RipEstimate:
-    """Lower bound on the S-RIP constant from uniformly sampled supports.
-
-    Under a fixed seed the sampled sequence is a prefix of any longer run,
-    so the estimate is non-decreasing in trials.  The Gram matrix covers
-    only the distinct drawn columns.
-    """
-    B = np.asarray(B, dtype=np.complex128)
-    cols = B.shape[1]
-    if not 1 <= order <= cols:
-        raise ValueError(f"need 1 <= order <= {cols}, got {order}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = as_rng(seed)
-    draws = np.sort(
-        [rng.choice(cols, size=order, replace=False) for _ in range(trials)], axis=1
-    )
-    drawn = np.flatnonzero(np.bincount(draws.ravel(), minlength=cols))
-    delta, _, row, _ = _max_deviation(B[:, drawn], [(None, np.searchsorted(drawn, draws))])
-    return RipEstimate(delta, "randomized-lower-bound", trials, tuple(drawn[row].tolist()))
+    return RipEstimate(delta, examined, tuple(row.tolist()))
 
 
 def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
@@ -274,7 +240,7 @@ def hirip_constant_exact(
     # rebuilt per block, so blocks with sigma_i = 0 stay active with ()
     parts = np.split(row, np.cumsum([k.sigma[b] for b in blocks[:-1]]))
     support = HiSupport(blocks, {b: part - st.offset(b) for b, part in zip(blocks, parts)})
-    return RipEstimate(delta, "exact-enumeration", examined, support)
+    return RipEstimate(delta, examined, support)
 
 
 def hirip_bound(delta_a: float, delta_bs) -> float:
@@ -287,21 +253,6 @@ def hirip_bound(delta_a: float, delta_bs) -> float:
     return delta_a + worst_b + delta_a * worst_b
 
 
-def gram_matrix(H: HierarchicalOperator, x: BlockVector) -> np.ndarray:
-    """The N x N Hermitian PSD matrix G with G[i, j] = <B_i x_i, B_j x_j>,
-    conjugate-linear in the second slot.
-
-    Under that convention ||H x||^2 equals the trace pairing of A^*A with
-    G (the quantity lemma1_check bounds), for every block vector x.
-    """
-    if x.structure != H.structure:
-        raise ValueError("block structure mismatch")
-    z = np.empty((H.inner_rows, H.num_blocks), dtype=np.complex128)
-    for i in range(H.num_blocks):
-        z[:, i] = H.Bs[i] @ x.block(i)
-    return z.T @ z.conj()
-
-
 def nuclear_norm_hermitian(X: np.ndarray) -> float:
     """Sum of absolute eigenvalues (equals the trace for PSD inputs)."""
     return float(np.abs(np.linalg.eigvalsh(X)).sum())
@@ -311,7 +262,6 @@ def column_necessity_check(
     H: HierarchicalOperator,
     k: HiSparsity,
     tol: float = 1e-10,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> dict:
     """Check that every column-weighted block matrix inherits the RIP.
 
@@ -321,14 +271,14 @@ def column_necessity_check(
     constrains each weighted B_i.  Blocks with sigma_i = 0 are vacuous and
     reported with a zero constant.
     """
-    hi = hirip_constant_exact(H, k, budget=budget)
+    hi = hirip_constant_exact(H, k)
     per_block = []
     for i in range(H.num_blocks):
         a_norm = float(np.linalg.norm(H.A[:, i]))
         if k.sigma[i] == 0:
             delta_i = 0.0
         else:
-            delta_i = rip_constant_exact(a_norm * H.Bs[i], k.sigma[i], budget).delta
+            delta_i = rip_constant_exact(a_norm * H.Bs[i], k.sigma[i]).delta
         per_block.append(
             {
                 "block": i,
@@ -354,7 +304,6 @@ def prop1_check(
     active_set,
     gs: dict,
     tol: float = 1e-9,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
 ) -> dict:
     """Necessity bound for the mixing matrix when the block matrices
     cannot demix on their own.
@@ -385,12 +334,12 @@ def prop1_check(
         for i in active
         for j in active
     )
-    delta_h = hirip_constant_exact(H, k, budget=budget).delta
+    delta_h = hirip_constant_exact(H, k).delta
     delta_b = max(
-        rip_constant_exact(H.Bs[i], k.sigma[i], budget).delta if k.sigma[i] > 0 else 0.0
+        rip_constant_exact(H.Bs[i], k.sigma[i]).delta if k.sigma[i] > 0 else 0.0
         for i in range(H.num_blocks)
     )
-    delta_a = rip_constant_exact(H.A, k.s, budget).delta
+    delta_a = rip_constant_exact(H.A, k.s).delta
     denom = 1.0 - delta_b - epsilon
     report = {
         "epsilon": epsilon,
@@ -408,12 +357,7 @@ def prop1_check(
     return report
 
 
-def lemma1_check(
-    A: np.ndarray,
-    X: np.ndarray,
-    tol: float = 1e-9,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
-) -> dict:
+def lemma1_check(A: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> dict:
     """Trace inequality for Hermitian matrices with a small square pattern.
 
     If every nonzero row and column of the Hermitian X lies in one index
@@ -445,7 +389,7 @@ def lemma1_check(
             "tolerance": tol,
             "passed": deviation <= tol,
         }
-    delta = rip_constant_exact(A, s, budget).delta
+    delta = rip_constant_exact(A, s).delta
     return {
         "pattern_size": s,
         "delta": delta,

@@ -84,14 +84,6 @@ def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def least_squares_on_support(
-    H: HierarchicalOperator, y: np.ndarray, support: HiSupport
-) -> BlockVector:
-    """Least-squares fit of y on the given support; zero elsewhere."""
-    cols, sol, _ = _restricted_lstsq(H, _measurements(H, y), support)
-    return _scatter(H, cols, sol)
-
-
 def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
     y = _measurements(H, y)
     y_norm = float(np.linalg.norm(y))

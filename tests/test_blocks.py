@@ -9,7 +9,6 @@ from hisparse.blocks import (
     block_norms,
     hi_threshold,
     is_hi_sparse,
-    restrict,
 )
 from hisparse.errors import DimensionError
 
@@ -227,24 +226,6 @@ class TestPredicatesAndRestrict:
             x = BlockVector(st, rng.standard_normal(30) + 1j * rng.standard_normal(30))
             out, _ = hi_threshold(x, k)
             assert is_hi_sparse(out, k)
-
-    def test_restrict_full_and_empty(self):
-        rng = np.random.default_rng(9)
-        st = BlockStructure((3, 4))
-        x = BlockVector(st, rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        np.testing.assert_array_equal(restrict(x, HiSupport.full(st)).coeffs, x.coeffs)
-        np.testing.assert_array_equal(restrict(x, HiSupport.empty()).coeffs, np.zeros(7))
-
-    def test_restrict_masks_coordinates(self):
-        st = BlockStructure((2, 2))
-        x = bv(st, [1, 2], [3, 4])
-        out = restrict(x, HiSupport((1,), {1: (0,)}))
-        np.testing.assert_array_equal(out.coeffs, [0, 0, 3, 0])
-
-    def test_restrict_out_of_range(self):
-        st = BlockStructure((2, 2))
-        with pytest.raises(IndexError):
-            restrict(BlockVector.zeros(st), HiSupport((1,), {1: (2,)}))
 
 
 class TestBlockNorms:

@@ -327,6 +327,14 @@ class TestBlockDetection:
         with pytest.raises(ValueError):
             run_block_detection(cfg)
 
+    def test_front_window_must_fit_short_blocks(self):
+        # 20 columns cannot be cut from a 16-long block: refused up front,
+        # not with an IndexError inside a trial
+        cfg = desk_block_detection()
+        cfg.block_lengths, cfg.front_width = 16, 20
+        with pytest.raises(ValueError, match="front_width"):
+            run_block_detection(cfg)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_detection_config()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

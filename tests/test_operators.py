@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -6,12 +5,7 @@ import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector
 from hisparse.errors import BudgetError, DimensionError
-from hisparse.operators import (
-    HierarchicalOperator,
-    kronecker_operator,
-    load_operator,
-    save_operator,
-)
+from hisparse.operators import HierarchicalOperator, kronecker_operator
 
 from oracles import dense_by_entries, random_operator
 
@@ -186,60 +180,3 @@ class TestValidationAndSerialization:
         (A if which == "A" else B)[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             HierarchicalOperator(A, (B, np.eye(3)))
-
-    def test_round_trip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(9)
-        A, Bs = random_operator(rng, 3, 2, 4, (2, 5))
-        H = HierarchicalOperator(A, Bs)
-        path = tmp_path / "op.hiop"
-        save_operator(H, path)
-        back = load_operator(path)
-        np.testing.assert_array_equal(back.A, H.A)
-        for B1, B2 in zip(back.Bs, H.Bs):
-            np.testing.assert_array_equal(B1, B2)
-
-    def test_save_is_deterministic(self, tmp_path):
-        rng = np.random.default_rng(10)
-        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
-        H = HierarchicalOperator(A, Bs)
-        p1, p2 = tmp_path / "a.hiop", tmp_path / "b.hiop"
-        save_operator(H, p1)
-        save_operator(H, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.hiop"
-        path.write_bytes(b"NOPE\n" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_operator(path)
-
-    def test_truncated_payload(self, tmp_path):
-        rng = np.random.default_rng(11)
-        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
-        path = tmp_path / "t.hiop"
-        save_operator(HierarchicalOperator(A, Bs), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
-            load_operator(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        rng = np.random.default_rng(12)
-        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
-        path = tmp_path / "x.hiop"
-        save_operator(HierarchicalOperator(A, Bs), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_operator(path)
-
-    def test_block_sizes_length_mismatch(self, tmp_path):
-        rng = np.random.default_rng(13)
-        A, Bs = random_operator(rng, 2, 2, 3, (2, 2))
-        path = tmp_path / "h.hiop"
-        save_operator(HierarchicalOperator(A, Bs), path)
-        magic, header, payload = path.read_bytes().split(b"\n", 2)
-        fields = json.loads(header)
-        fields["block_sizes"] = fields["block_sizes"][:-1]
-        path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), payload]))
-        with pytest.raises(ValueError, match="block_sizes"):
-            load_operator(path)
