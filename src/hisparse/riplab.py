@@ -97,28 +97,36 @@ def _spectral_norm(herm: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).max(axis=-1, initial=0.0)
 
 
-def _live_rows(sub: np.ndarray, best: float) -> np.ndarray:
-    """Indices of the restricted matrices in sub that could attain the
-    maximum deviation, given the best deviation seen before them.
+def _live_rows(mag: np.ndarray, flat: np.ndarray, idx: np.ndarray, best: float) -> np.ndarray:
+    """Indices of the supports in a chunk that could attain the maximum
+    deviation, given the best deviation seen before them.
 
-    For Hermitian M, max |M_ij| is a lower and the largest absolute row sum
+    idx (batch, width, width) indexes the restricted matrices of the chunk
+    in flat, the raveled Gram matrix, and mag = |flat|, so the bounds read
+    floats and only one restricted matrix is gathered as complex.  For
+    Hermitian M, max |M_ij| is a lower and the largest absolute row sum
     (Gershgorin) an upper bound on ||M||_2.  The floor is the largest of
-    best, the largest lower bound and the exact deviation of the row with
-    the largest upper bound (usually the maximizer); a row whose upper
-    bound falls below the floor, less a roundoff margin, cannot attain the
-    maximum."""
-    mag = np.abs(sub)
-    upper = mag.sum(axis=2).max(axis=1, initial=0.0)
-    top = _spectral_norm(sub[np.argmax(upper)])
-    floor = max(best, float(mag.max(initial=0.0)), float(top))
+    best, the largest lower bound and the exact deviation of the support
+    with the largest upper bound (usually the maximizer); a support whose
+    upper bound falls below the floor, less a roundoff margin, cannot
+    attain the maximum."""
+    sub = mag.take(idx)
+    upper = sub.sum(axis=2).max(axis=1, initial=0.0)
+    top = _spectral_norm(flat.take(idx[np.argmax(upper)]))
+    floor = max(best, float(sub.max(initial=0.0)), float(top))
     return np.flatnonzero(upper >= floor - 1e-12 * (1.0 + floor))
+
+
+def _joined(parts):
+    """The rows of parts as one array; a single part is returned as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _chunks(batches, chunk: int):
     """Regroup (key, supports) batches into chunks of at most chunk rows.
 
     Yields (rows, starts, keys): rows[starts[j]:starts[j + 1]] came from
-    the batch keyed keys[j]."""
+    the batch keyed keys[j].  A chunk cut from one batch is a view of it."""
     parts, starts, keys, fill = [], [], [], 0
     for key, supports in batches:
         lo = 0
@@ -130,10 +138,10 @@ def _chunks(batches, chunk: int):
             keys.append(key)
             fill += len(part)
             if fill == chunk:
-                yield np.concatenate(parts), starts, keys
+                yield _joined(parts), starts, keys
                 parts, starts, keys, fill = [], [], [], 0
     if parts:
-        yield np.concatenate(parts), starts, keys
+        yield _joined(parts), starts, keys
 
 
 def _max_deviation(
@@ -146,25 +154,34 @@ def _max_deviation(
     order.  Narrower supports are padded with the index cols (= the column
     count of D), the zero row of _deviation_gram; the returned argmax drops
     the padding.  Each chunk of at most chunk supports gathers its
-    restricted matrices from the one Gram matrix; in a chunk of more than
-    _PRUNE_MIN rows only _live_rows reach eigvalsh (a smaller chunk costs
-    less to diagonalize whole than to prune).  The first support attaining
-    the maximum wins ties, so for a lexicographic enumeration the argmax is
-    the lexicographically smallest maximizer.
+    restricted matrices from the one Gram matrix.  A chunk of more than
+    _PRUNE_MIN rows is first bounded from |gram|, a float table made once
+    per call when a chunk is first pruned, and only its _live_rows are
+    gathered as complex and reach eigvalsh (a smaller chunk costs less to
+    diagonalize whole than to prune).  The first support attaining the
+    maximum wins ties, so for a lexicographic enumeration the argmax is the
+    lexicographically smallest maximizer.
     Returns (delta, key of the argmax's batch, argmax row, count).
     """
     cols = dense.shape[1]
     gram = _deviation_gram(dense, budget)
     flat, side = gram.ravel(), cols + 1
+    mag = None
     best_delta, best_key, best_row = -1.0, None, None
     count = 0
     for rows, starts, keys in _chunks(batches, chunk):
         count += len(rows)
-        sub = flat.take(rows[:, :, None] * side + rows[:, None, :])  # (batch, width, width)
-        live = _live_rows(sub, best_delta) if len(rows) > _PRUNE_MIN else np.arange(len(rows))
-        if not live.size:
-            continue
-        devs = _spectral_norm(sub[live])
+        idx = rows[:, :, None] * side + rows[:, None, :]  # (batch, width, width)
+        if len(rows) > _PRUNE_MIN:
+            if mag is None:
+                mag = np.abs(flat)
+            live = _live_rows(mag, flat, idx, best_delta)
+            if not live.size:
+                continue
+            idx = idx[live]
+        else:
+            live = np.arange(len(rows))
+        devs = _spectral_norm(flat.take(idx))
         j = int(np.argmax(devs))
         if devs[j] > best_delta:
             i = int(live[j])
@@ -205,11 +222,18 @@ def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
     ]
     width = sum(sorted(k.sigma, reverse=True)[: k.s])
     for blocks in itertools.combinations(range(structure.num_blocks), k.s):
-        parts = [per_block[b] for b in blocks]
-        picks = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
-        pad = np.full((picks.shape[1], width - sum(k.sigma[b] for b in blocks)),
-                      structure.total_dim, dtype=np.intp)
-        yield blocks, np.concatenate([p[i] for p, i in zip(parts, picks)] + [pad], axis=1)
+        lens = [len(per_block[b]) for b in blocks]
+        supports = np.full((math.prod(lens), width), structure.total_dim, dtype=np.intp)
+        # row r of supports is the multi-index r of grid in C order, so the
+        # last block's combination varies fastest
+        grid = supports.reshape(*lens, width)
+        col = 0
+        for axis, b in enumerate(blocks):
+            shape = [1] * len(lens) + [k.sigma[b]]
+            shape[axis] = lens[axis]
+            grid[..., col : col + k.sigma[b]] = per_block[b].reshape(shape)
+            col += k.sigma[b]
+        yield blocks, supports
 
 
 def hirip_constant_exact(
@@ -335,10 +359,13 @@ def prop1_check(
         for j in active
     )
     delta_h = hirip_constant_exact(H, k).delta
-    delta_b = max(
-        rip_constant_exact(H.Bs[i], k.sigma[i]).delta if k.sigma[i] > 0 else 0.0
-        for i in range(H.num_blocks)
-    )
+    # one constant per distinct (B_i, sigma_i): a Kronecker operator repeats
+    # one array N times
+    delta_bs = {}
+    for B, sig in zip(H.Bs, k.sigma):
+        if sig > 0 and (id(B), sig) not in delta_bs:
+            delta_bs[id(B), sig] = rip_constant_exact(B, sig).delta
+    delta_b = max(delta_bs.values(), default=0.0)
     delta_a = rip_constant_exact(H.A, k.s).delta
     denom = 1.0 - delta_b - epsilon
     report = {

@@ -317,6 +317,57 @@ class TestArgmaxRules:
         assert _combinations(3, 3).shape == (1, 3)
 
 
+class TestSupportEnumeration:
+    @pytest.mark.parametrize(
+        "sizes, k",
+        [
+            ((3, 4, 2), HiSparsity(2, (1, 2, 1))),  # mixed sigma: widths 2, 3, 3
+            ((3, 4, 2, 3), HiSparsity(2, (2, 0, 1, 2))),  # a sigma_i = 0 block
+            ((3, 4, 2), HiSparsity(3, (2, 3, 0))),  # s = N
+            ((2, 3), HiSparsity(2, (2, 3))),  # s = N, every column
+            ((5,), HiSparsity(1, (0,))),
+        ],
+    )
+    def test_batches_match_product_oracle(self, sizes, k):
+        offsets = [sum(sizes[:b]) for b in range(len(sizes))]
+        total = sum(sizes)
+        width = sum(sorted(k.sigma, reverse=True)[: k.s])
+        batches = list(_hierarchical_batches(BlockStructure(sizes), k))
+        assert [blocks for blocks, _ in batches] == list(
+            itertools.combinations(range(len(sizes)), k.s)
+        )
+        for blocks, rows in batches:
+            want = []
+            for choice in itertools.product(
+                *(
+                    itertools.combinations(range(offsets[b], offsets[b] + sizes[b]), k.sigma[b])
+                    for b in blocks
+                )
+            ):
+                row = [c for cols in choice for c in cols]
+                want.append(row + [total] * (width - len(row)))
+            assert rows.dtype == np.intp
+            assert rows.shape == (len(want), width)
+            assert rows.tolist() == want
+
+    def test_pruned_chunk_never_gathers_complex(self):
+        # one pruned chunk of 4,096 width-6 supports: the (4096, 6, 6) index
+        # array takes 1.2 MB and a complex gather of every restricted matrix
+        # 2.4 MB more; pruning reads |gram| and gathers only live supports
+        B = gaussian_matrix(10, 16, 0)
+        rows = _combinations(16, 6)[:4096]
+        idx_bytes = rows.shape[0] * 6 * 6 * np.dtype(np.intp).itemsize
+        gather_bytes = rows.shape[0] * 6 * 6 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            _, _, _, count = _max_deviation(B, [(None, rows)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 4096
+        assert peak < idx_bytes + gather_bytes
+
+
 class TestHiRipBound:
     def test_zero_inputs(self):
         assert hirip_bound(0.0, (0.0, 0.0)) == 0.0
@@ -460,6 +511,22 @@ class TestProp1:
                 checked += 1
                 assert rep["passed"]
         assert checked > 0
+
+    def test_shared_block_solved_once(self, monkeypatch):
+        calls = []
+
+        def counting(B, order, *args):
+            calls.append((B.shape, order))
+            return rip_constant_exact(B, order, *args)
+
+        monkeypatch.setattr("hisparse.riplab.rip_constant_exact", counting)
+        B = gaussian_matrix(4, 3, 31)
+        H = kronecker_operator(gaussian_matrix(5, 6, 32), B)
+        g = np.array([1.0, 0.0, 0.0], dtype=complex)
+        rep = prop1_check(H, HiSparsity.uniform(2, 1, 6), (0, 3), {0: g, 3: g})
+        # B once for all six blocks, then A
+        assert calls == [((4, 3), 1), ((5, 6), 2)]
+        assert rep["delta_b_max"] == rip_constant_exact(B, 1).delta
 
     def test_validates_probes(self):
         H = kronecker_operator(np.eye(2), np.eye(3))

@@ -1,4 +1,5 @@
-"""Property test of the exact HiRIP engine against the exhaustive oracle."""
+"""Property tests of the exact HiRIP engine: against the exhaustive oracle,
+and pruned against unpruned enumeration."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from hisparse.blocks import HiSparsity
-from hisparse.operators import HierarchicalOperator
-from hisparse.riplab import hierarchical_support_count, hirip_constant_exact
+from hisparse.operators import HierarchicalOperator, kronecker_operator
+from hisparse.riplab import (
+    _PRUNE_MIN,
+    _hierarchical_batches,
+    _max_deviation,
+    hierarchical_support_count,
+    hirip_constant_exact,
+)
 
 from oracles import hirip_by_patterns, random_operator
 
@@ -45,3 +52,37 @@ def test_hirip_matches_exhaustive_oracle(instance):
     sub = H.assemble_dense()[:, sup.column_indices(H.structure)]
     attained = np.abs(np.linalg.eigvalsh(sub.conj().T @ sub) - 1.0).max() if sub.size else 0.0
     assert abs(attained - est.delta) <= 1e-12
+
+
+@st.composite
+def pruned_instances(draw):
+    """An operator with 27 to 10,000 maximal supports (N in {3, 4}, s >= N - 1,
+    n_i in [3, 5], 0 < sigma_i < n_i), so chunks of 4096 rows mostly exceed
+    _PRUNE_MIN.  A Kronecker operator with an identity mixing matrix repeats
+    every restricted Gram matrix bit for bit across block tuples, so its
+    maximum is an exact tie."""
+    N = draw(st.integers(3, 4))
+    M, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "kronecker", "tied"]))
+    if kind == "random":
+        sizes = tuple(draw(st.integers(3, 5)) for _ in range(N))
+        H = HierarchicalOperator(*random_operator(rng, M, N, m, sizes))
+    else:
+        A, (B,) = random_operator(rng, M, N, m, (draw(st.integers(3, 5)),))
+        H = kronecker_operator(np.eye(N) if kind == "tied" else A, B)
+    sigma = tuple(draw(st.integers(1, n - 1)) for n in H.structure.block_sizes)
+    return H, HiSparsity(draw(st.integers(N - 1, N)), sigma)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(pruned_instances())
+def test_pruning_changes_no_result(instance):
+    H, k = instance
+    dense = H.assemble_dense()
+    pruned = _max_deviation(dense, _hierarchical_batches(H.structure, k), 4096)
+    whole = _max_deviation(dense, _hierarchical_batches(H.structure, k), _PRUNE_MIN)
+    assert pruned[0] == whole[0]
+    assert pruned[1] == whole[1]
+    assert pruned[2].tolist() == whole[2].tolist()
+    assert pruned[3] == whole[3] == hierarchical_support_count(H.structure, k)
