@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockStructure, BlockVector
-from .errors import BudgetError, DimensionError
-
-# assemble_dense refuses to materialize more complex entries than this
-# (50e6 entries ~ 800 MB at complex128) unless the caller raises the cap.
-DENSE_ENTRY_BUDGET = 50_000_000
+from .errors import DimensionError
 
 
 def _as_matrix(a) -> np.ndarray:
+    """a as a complex128 matrix; ValueError unless it is 2-D and finite."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -50,8 +49,6 @@ class HierarchicalOperator:
         rows = {B.shape[0] for B in self.Bs}
         if len(rows) != 1:
             raise DimensionError(f"all B_i must share one row count, got {sorted(rows)}")
-        if not all(np.isfinite(M).all() for M in (self.A, *self.Bs)):
-            raise ValueError("operator matrices A and B_i must be finite")
         self._structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
 
     @property
@@ -110,18 +107,17 @@ class HierarchicalOperator:
         np.conj(out.coeffs, out=out.coeffs)
         return out
 
-    def assemble_dense(self, max_entries: int = DENSE_ENTRY_BUDGET) -> np.ndarray:
-        """Dense (M*m) x total_dim matrix with the same action as apply.
+    def gram(self) -> np.ndarray:
+        """Gram matrix H^* H, total_dim x total_dim: the entry of columns c
+        in block b and c' in block b' is (A^*A)[b, b'] * (B_b^* B_b')[c, c'].
 
-        Column block i equals kron(a_i, B_i).  Refuses to allocate past
-        max_entries complex values.
-        """
-        n_entries = self.out_dim * self.total_dim
-        if n_entries > max_entries:
-            raise BudgetError(
-                f"dense assembly needs {n_entries} entries, budget is {max_entries}"
-            )
-        return self.dense_columns(np.arange(self.total_dim))
+        Built from A^*A and the Gram matrix of the m-row stack of the B_i,
+        without assembling the (M*m) x total_dim dense matrix."""
+        owner = np.repeat(np.arange(self.num_blocks), self._structure.block_sizes)
+        inner = np.concatenate(self.Bs, axis=1)
+        gram = inner.conj().T @ inner
+        gram *= (self.A.conj().T @ self.A)[np.ix_(owner, owner)]
+        return gram
 
     def dense_columns(self, cols: np.ndarray) -> np.ndarray:
         """Dense (M*m) x len(cols) matrix of the given sorted, in-range

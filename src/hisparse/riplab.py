@@ -9,12 +9,12 @@ supports explicitly, as lexicographically ordered index arrays behind a
 budget guard, gathers their restricted Gram matrices in batches from one
 Gram matrix per constant, and diagonalizes every one that certified bounds
 cannot rule out, so the returned constants are exact up to eigensolver
-roundoff.
+roundoff.  The Gram matrix of a hierarchical operator is built from its
+structure (HierarchicalOperator.gram), never from a dense assembly.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,10 +23,13 @@ import numpy as np
 
 from .blocks import BlockStructure, HiSparsity, HiSupport
 from .errors import BudgetError
-from .operators import DENSE_ENTRY_BUDGET, HierarchicalOperator
+from .operators import HierarchicalOperator, _as_matrix
 
-# Exhaustive enumeration refuses to walk more supports than this.
+# Exhaustive enumeration refuses to walk more supports than this, and to
+# form a Gram matrix of more complex entries than GRAM_ENTRY_BUDGET
+# (50e6 entries ~ 800 MB at complex128).
 DEFAULT_SUPPORT_BUDGET = 2_000_000
+GRAM_ENTRY_BUDGET = 50_000_000
 
 _CHUNK = 4096
 # chunks of at most this many supports skip the pruning bounds
@@ -72,22 +75,20 @@ def _combinations(n: int, r: int, offset: int = 0) -> np.ndarray:
     return flat.reshape(count, r)
 
 
-def _deviation_gram(dense: np.ndarray, budget: int) -> np.ndarray:
-    """blockdiag(D^* D - I, 0) for the columns of D = dense, one side longer
-    than the column count.
+def _deviation_gram(cols: int, make_gram) -> np.ndarray:
+    """blockdiag(G - I, 0) for the cols x cols Gram matrix G = make_gram().
 
-    Index cols (= the column count) selects the zero row, so a support
-    padded with it to any width keeps its deviation: blockdiag(M, 0) has the
-    spectrum of M plus zeros.  Refuses with BudgetError before allocating
-    when the (cols + 1)^2 entries exceed budget."""
-    cols = dense.shape[1]
+    Index cols selects the zero row, so a support padded with it to any
+    width keeps its deviation: blockdiag(M, 0) has the spectrum of M plus
+    zeros.  Refuses with BudgetError, before make_gram allocates anything,
+    when the (cols + 1)^2 entries exceed GRAM_ENTRY_BUDGET."""
     side = cols + 1
-    if side * side > budget:
+    if side * side > GRAM_ENTRY_BUDGET:
         raise BudgetError(
-            f"the Gram matrix needs {side * side} entries, budget is {budget}"
+            f"the Gram matrix needs {side * side} entries, budget is {GRAM_ENTRY_BUDGET}"
         )
     gram = np.zeros((side, side), dtype=np.complex128)
-    gram[:cols, :cols] = dense.conj().T @ dense
+    gram[:cols, :cols] = make_gram()
     gram.flat[: cols * side : side + 1] -= 1.0
     return gram
 
@@ -123,53 +124,45 @@ def _joined(parts):
 
 
 def _chunks(batches, chunk: int):
-    """Regroup (key, supports) batches into chunks of at most chunk rows.
-
-    Yields (rows, starts, keys): rows[starts[j]:starts[j + 1]] came from
-    the batch keyed keys[j].  A chunk cut from one batch is a view of it."""
-    parts, starts, keys, fill = [], [], [], 0
-    for key, supports in batches:
+    """Regroup support batches into chunks of at most chunk rows.  A chunk
+    cut from one batch is a view of it."""
+    parts, fill = [], 0
+    for supports in batches:
         lo = 0
         while lo < len(supports):
             part = supports[lo : lo + chunk - fill]
             lo += len(part)
             parts.append(part)
-            starts.append(fill)
-            keys.append(key)
             fill += len(part)
             if fill == chunk:
-                yield _joined(parts), starts, keys
-                parts, starts, keys, fill = [], [], [], 0
+                yield _joined(parts)
+                parts, fill = [], 0
     if parts:
-        yield _joined(parts), starts, keys
+        yield _joined(parts)
 
 
-def _max_deviation(
-    dense: np.ndarray, batches, chunk: int = _CHUNK, budget: int = DENSE_ENTRY_BUDGET
-):
-    """Maximum spectral norm of (D_T^* D_T - I) over enumerated supports T.
+def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
+    """Maximum spectral norm of (G_T - I) over enumerated supports T.
 
-    batches yields (key, supports) pairs, supports a (count, width) array
-    of column indices; together they list the supports in enumeration
-    order.  Narrower supports are padded with the index cols (= the column
-    count of D), the zero row of _deviation_gram; the returned argmax drops
-    the padding.  Each chunk of at most chunk supports gathers its
-    restricted matrices from the one Gram matrix.  A chunk of more than
-    _PRUNE_MIN rows is first bounded from |gram|, a float table made once
-    per call when a chunk is first pruned, and only its _live_rows are
-    gathered as complex and reach eigvalsh (a smaller chunk costs less to
-    diagonalize whole than to prune).  The first support attaining the
-    maximum wins ties, so for a lexicographic enumeration the argmax is the
-    lexicographically smallest maximizer.
-    Returns (delta, key of the argmax's batch, argmax row, count).
+    gram is blockdiag(G - I, 0) from _deviation_gram.  batches yields
+    (count, width) arrays of column indices that together list the supports
+    in enumeration order.  Narrower supports are padded with the index of
+    the zero row (= the column count of G); the returned argmax drops the
+    padding.  Each chunk of at most chunk supports gathers its restricted
+    matrices from gram.  A chunk of more than _PRUNE_MIN rows is first
+    bounded from |gram|, a float table made once per call when a chunk is
+    first pruned, and only its _live_rows are gathered as complex and reach
+    eigvalsh (a smaller chunk costs less to diagonalize whole than to
+    prune).  The first support attaining the maximum wins ties, so for a
+    lexicographic enumeration the argmax is the lexicographically smallest
+    maximizer.  Returns (delta, argmax row, count).
     """
-    cols = dense.shape[1]
-    gram = _deviation_gram(dense, budget)
-    flat, side = gram.ravel(), cols + 1
+    side = gram.shape[0]
+    flat, cols = gram.ravel(), side - 1
     mag = None
-    best_delta, best_key, best_row = -1.0, None, None
+    best_delta, best_row = -1.0, None
     count = 0
-    for rows, starts, keys in _chunks(batches, chunk):
+    for rows in _chunks(batches, chunk):
         count += len(rows)
         idx = rows[:, :, None] * side + rows[:, None, :]  # (batch, width, width)
         if len(rows) > _PRUNE_MIN:
@@ -186,34 +179,38 @@ def _max_deviation(
         if devs[j] > best_delta:
             i = int(live[j])
             best_delta, best_row = float(devs[j]), rows[i][rows[i] < cols]
-            best_key = keys[bisect.bisect_right(starts, i) - 1]
-    return max(best_delta, 0.0), best_key, best_row, count
+    return max(best_delta, 0.0), best_row, count
 
 
-def rip_constant_exact(
-    B: np.ndarray, order: int, budget: int = DEFAULT_SUPPORT_BUDGET
-) -> RipEstimate:
+def _check_support_count(count: int) -> None:
+    if count > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetError(
+            f"{count} supports exceed the enumeration budget {DEFAULT_SUPPORT_BUDGET}"
+        )
+
+
+def rip_constant_exact(B: np.ndarray, order: int) -> RipEstimate:
     """Exact S-RIP constant by enumerating all C(cols, S) column subsets.
 
-    The Gram matrix of B is formed once, with (cols + 1)^2 entries that must
-    fit DENSE_ENTRY_BUDGET (BudgetError otherwise, before it is allocated).
-    Orders >= 2 within the default support budget stay far below that; it
-    refuses order-1 calls on 7,071 or more columns."""
-    B = np.asarray(B, dtype=np.complex128)
+    At most DEFAULT_SUPPORT_BUDGET supports are enumerated, and the Gram
+    matrix B^* B is formed once, with (cols + 1)^2 entries that must fit
+    GRAM_ENTRY_BUDGET (BudgetError otherwise, before it is allocated).
+    Orders >= 2 within the support budget stay far below that; it refuses
+    order-1 calls on 7,071 or more columns."""
+    B = _as_matrix(B)
     cols = B.shape[1]
     if not 1 <= order <= cols:
         raise ValueError(f"need 1 <= order <= {cols}, got {order}")
-    count = math.comb(cols, order)
-    if count > budget:
-        raise BudgetError(f"{count} supports exceed the enumeration budget {budget}")
-    delta, _, row, examined = _max_deviation(B, [(None, _combinations(cols, order))])
+    _check_support_count(math.comb(cols, order))
+    gram = _deviation_gram(cols, lambda: B.conj().T @ B)
+    delta, row, examined = _max_deviation(gram, [_combinations(cols, order)])
     return RipEstimate(delta, examined, tuple(row.tolist()))
 
 
 def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
-    """(blocks, supports) for each s-tuple of blocks in lexicographic order,
-    supports holding every maximal (s, sigma)-support on those blocks as a
-    row of global column indices, rows in lexicographic order.  Rows are
+    """The supports of each s-tuple of blocks, tuples in lexicographic
+    order: every maximal (s, sigma)-support on those blocks as a row of
+    global column indices, rows in lexicographic order.  Rows are
     padded to the widest support, the sum of the s largest sigma_i, with
     the index total_dim (see _max_deviation)."""
     per_block = [
@@ -233,37 +230,34 @@ def _hierarchical_batches(structure: BlockStructure, k: HiSparsity):
             shape[axis] = lens[axis]
             grid[..., col : col + k.sigma[b]] = per_block[b].reshape(shape)
             col += k.sigma[b]
-        yield blocks, supports
+        yield supports
 
 
-def hirip_constant_exact(
-    H: HierarchicalOperator,
-    k: HiSparsity,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
-    dense_budget: int = DENSE_ENTRY_BUDGET,
-) -> RipEstimate:
+def hirip_constant_exact(H: HierarchicalOperator, k: HiSparsity) -> RipEstimate:
     """Exact (s, sigma)-HiRIP constant of a hierarchical operator.
 
     Only maximal supports (exactly s blocks, exactly sigma_i coordinates
     each) are enumerated: every smaller hierarchical support is a principal
     submatrix of a maximal one and cannot increase the spectral deviation.
-    Besides the dense matrix, the Gram matrix of its total_dim columns must
-    fit dense_budget: (total_dim + 1)^2 entries.
+    The support count must fit DEFAULT_SUPPORT_BUDGET and the Gram matrix
+    H.gram(), (total_dim + 1)^2 entries with its border, GRAM_ENTRY_BUDGET.
+
+    The argmax's block tuple is the lexicographically first one holding the
+    maximizing row: the blocks owning its columns, then the lowest-indexed
+    blocks with sigma_i = 0 (kept active with ()).  The same row in a later
+    tuple gathers the same matrix and never wins, so this is the tuple the
+    enumeration met it in.
     """
     st = H.structure
     k.validate_for(st)
-    count = hierarchical_support_count(st, k)
-    if count > budget:
-        raise BudgetError(
-            f"{count} hierarchical supports exceed the enumeration budget {budget}"
-        )
-    dense = H.assemble_dense(dense_budget)
-    delta, blocks, row, examined = _max_deviation(
-        dense, _hierarchical_batches(st, k), budget=dense_budget
+    _check_support_count(hierarchical_support_count(st, k))
+    gram = _deviation_gram(H.total_dim, H.gram)
+    delta, row, examined = _max_deviation(gram, _hierarchical_batches(st, k))
+    held = HiSupport.of_columns(st, row)
+    idle = [b for b, sig in enumerate(k.sigma) if sig == 0][: k.s - len(held.active_blocks)]
+    support = HiSupport(
+        held.active_blocks + tuple(idle), {**held.entries, **dict.fromkeys(idle, ())}
     )
-    # rebuilt per block, so blocks with sigma_i = 0 stay active with ()
-    parts = np.split(row, np.cumsum([k.sigma[b] for b in blocks[:-1]]))
-    support = HiSupport(blocks, {b: part - st.offset(b) for b, part in zip(blocks, parts)})
     return RipEstimate(delta, examined, support)
 
 
@@ -271,9 +265,13 @@ def hirip_bound(delta_a: float, delta_bs) -> float:
     """Upper bound on the hierarchical constant from the constituents:
     delta_A + max_i delta_{B_i} + delta_A * max_i delta_{B_i}."""
     delta_a = float(delta_a)
-    worst_b = max(float(d) for d in delta_bs)
-    if delta_a < 0 or worst_b < 0:
-        raise ValueError("isometry constants must be non-negative")
+    delta_bs = [float(d) for d in delta_bs]
+    if not delta_bs:
+        raise ValueError("need the isometry constant of at least one block matrix")
+    # every constant checked on its own: max() can pass over a nan
+    if not all(0 <= d < math.inf for d in (delta_a, *delta_bs)):
+        raise ValueError("isometry constants must be finite and non-negative")
+    worst_b = max(delta_bs)
     return delta_a + worst_b + delta_a * worst_b
 
 
@@ -348,6 +346,8 @@ def prop1_check(
         g = np.asarray(gs[b], dtype=np.complex128).reshape(-1)
         if g.shape[0] != st.block_sizes[b]:
             raise ValueError(f"probe for block {b} has wrong length")
+        if not np.isfinite(g).all():
+            raise ValueError(f"probe for block {b} is not finite")
         if abs(np.linalg.norm(g) - 1.0) > 1e-8:
             raise ValueError(f"probe for block {b} is not unit-norm")
         if int(np.count_nonzero(g)) > k.sigma[b]:
@@ -394,9 +394,9 @@ def lemma1_check(A: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> dict:
     trace); indefinite Hermitian inputs are accepted and reported but the
     bound need not hold for them.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    X = np.asarray(X, dtype=np.complex128)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] != A.shape[1]:
+    A = _as_matrix(A)
+    X = _as_matrix(X)
+    if X.shape[0] != X.shape[1] or X.shape[0] != A.shape[1]:
         raise ValueError("X must be square with side equal to the column count of A")
     scale = max(1.0, float(np.abs(X).max()))
     if float(np.abs(X - X.conj().T).max()) > 1e-12 * scale:

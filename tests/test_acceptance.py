@@ -30,7 +30,7 @@ from hisparse.harness.signals import generate_signal
 from hisparse.operators import HierarchicalOperator
 from hisparse.solvers import hihtp, htp_flat
 
-from oracles import best_hi_approx_residual, random_operator
+from oracles import best_hi_approx_residual, dense_by_entries, random_operator
 
 MASTER_SEED = 20240601
 
@@ -158,7 +158,7 @@ def test_adjoint_and_dense_assembly_identities():
         sizes = tuple(int(v) for v in rng.integers(1, 6, size=N))
         A, Bs = random_operator(rng, M, N, m, sizes)
         H = HierarchicalOperator(A, Bs)
-        D = H.assemble_dense()
+        D = dense_by_entries(A, Bs)
         x = BlockVector(
             H.structure,
             rng.standard_normal(H.total_dim) + 1j * rng.standard_normal(H.total_dim),

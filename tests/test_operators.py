@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector
-from hisparse.errors import BudgetError, DimensionError
+from hisparse.errors import DimensionError
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 
 from oracles import dense_by_entries, random_operator
+
+
+def dense(H):
+    """All columns of H, assembled by the operator itself."""
+    return H.dense_columns(np.arange(H.total_dim))
 
 
 def random_block_vector(rng, structure):
@@ -107,19 +112,19 @@ class TestAdjoint:
 class TestDenseAssembly:
     def test_identity(self):
         H = HierarchicalOperator(np.eye(1), (np.eye(2),))
-        np.testing.assert_array_equal(H.assemble_dense(), np.eye(2))
+        np.testing.assert_array_equal(dense(H), np.eye(2))
 
     def test_matches_entrywise_oracle(self):
         rng = np.random.default_rng(4)
         A, Bs = random_operator(rng, 3, 3, 2, (1, 4, 2))
         H = HierarchicalOperator(A, Bs)
-        np.testing.assert_allclose(H.assemble_dense(), dense_by_entries(A, Bs), atol=1e-14)
+        np.testing.assert_allclose(dense(H), dense_by_entries(A, Bs), atol=1e-14)
 
     def test_action_matches_apply(self):
         rng = np.random.default_rng(5)
         A, Bs = random_operator(rng, 4, 3, 3, (3, 2, 4))
         H = HierarchicalOperator(A, Bs)
-        D = H.assemble_dense()
+        D = dense_by_entries(A, Bs)
         for _ in range(10):
             x = random_block_vector(rng, H.structure)
             want = D @ x.coeffs
@@ -131,17 +136,23 @@ class TestDenseAssembly:
         A, Bs = random_operator(rng, 4, 5, 3, (2, 6, 1, 4, 3))
         H = HierarchicalOperator(A, Bs)
         full = np.hstack([np.kron(A[:, i : i + 1], B) for i, B in enumerate(Bs)])
-        np.testing.assert_array_equal(H.assemble_dense(), full)
+        np.testing.assert_array_equal(dense(H), full)
         for size in (0, 1, 5, 9, H.total_dim):
             cols = np.sort(rng.choice(H.total_dim, size=size, replace=False))
             np.testing.assert_array_equal(H.dense_columns(cols), full[:, cols])
 
-    def test_budget_guard(self):
-        rng = np.random.default_rng(6)
-        A, Bs = random_operator(rng, 4, 2, 4, (3, 3))
-        H = HierarchicalOperator(A, Bs)
-        with pytest.raises(BudgetError):
-            H.assemble_dense(max_entries=10)
+
+class TestGram:
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 4, 2), (5, 1, 3, 2)])
+    def test_matches_dense_oracle(self, sizes):
+        # block (b, b') is (A^*A)[b, b'] * (B_b^* B_b'), mixed n_i included
+        rng = np.random.default_rng(sum(sizes))
+        A, Bs = random_operator(rng, 4, len(sizes), 3, sizes)
+        D = dense_by_entries(A, Bs)
+        want = D.conj().T @ D
+        G = HierarchicalOperator(A, Bs).gram()
+        assert G.shape == want.shape
+        assert np.linalg.norm(G - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestKronecker:
@@ -149,11 +160,11 @@ class TestKronecker:
         rng = np.random.default_rng(7)
         B = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         H = kronecker_operator(np.array([[1.0]]), B)
-        np.testing.assert_allclose(H.assemble_dense(), B)
+        np.testing.assert_allclose(dense(H), B)
 
     def test_identity_kron_identity(self):
         H = kronecker_operator(np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(H.assemble_dense(), np.eye(4))
+        np.testing.assert_array_equal(dense(H), np.eye(4))
 
     def test_matches_numpy_kron(self):
         rng = np.random.default_rng(8)
@@ -161,7 +172,7 @@ class TestKronecker:
             A = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
             B = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             H = kronecker_operator(A, B)
-            np.testing.assert_allclose(H.assemble_dense(), np.kron(A, B), atol=1e-14)
+            np.testing.assert_allclose(dense(H), np.kron(A, B), atol=1e-14)
 
 
 class TestValidationAndSerialization:

@@ -11,6 +11,7 @@ from hisparse.errors import BudgetError
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
     _combinations,
+    _deviation_gram,
     _hierarchical_batches,
     _max_deviation,
     column_necessity_check,
@@ -23,13 +24,24 @@ from hisparse.riplab import (
     rip_constant_exact,
 )
 
-from oracles import hirip_by_patterns, pair_gram_deviation, random_hi_sparse, random_operator
+from oracles import (
+    dense_by_entries,
+    hirip_by_patterns,
+    pair_gram_deviation,
+    random_hi_sparse,
+    random_operator,
+)
 
 
 def unitary(n, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q
+
+
+def flat_gram(B):
+    """The bordered deviation Gram matrix of B's columns, as for flat RIP."""
+    return _deviation_gram(B.shape[1], lambda: B.conj().T @ B)
 
 
 class TestFlatRip:
@@ -107,10 +119,11 @@ class TestFlatRip:
         for lo, hi in zip(deltas, deltas[1:]):
             assert lo <= hi + 1e-12
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr("hisparse.riplab.DEFAULT_SUPPORT_BUDGET", 1000)
         B = gaussian_matrix(4, 40, 8)
         with pytest.raises(BudgetError):
-            rip_constant_exact(B, 10, budget=1000)
+            rip_constant_exact(B, 3)
 
     def test_invalid_order(self):
         B = gaussian_matrix(4, 4, 9)
@@ -148,7 +161,7 @@ class TestHiRip:
         Bs = tuple(B / np.linalg.norm(B, axis=0, keepdims=True) for B in Bs)
         H = HierarchicalOperator(A, Bs)
         k = HiSparsity.uniform(2, 2, 4)
-        D = H.assemble_dense()
+        D = dense_by_entries(A, Bs)
         patterns = [
             sup
             for blocks in itertools.combinations(range(4), 2)
@@ -195,24 +208,26 @@ class TestHiRip:
         k = HiSparsity.uniform(2, 2, 3)
         flat_order = 4  # sum of the two largest sigma_i
         d_hi = hirip_constant_exact(H, k).delta
-        d_flat = rip_constant_exact(H.assemble_dense(), flat_order).delta
+        d_flat = rip_constant_exact(dense_by_entries(A, Bs), flat_order).delta
         assert d_hi <= d_flat + 1e-12
 
-    def test_gram_within_dense_budget(self):
-        # the 1 x 30 dense matrix fits 100 entries, its 31^2-entry Gram
-        # matrix does not
+    def test_gram_within_dense_budget(self, monkeypatch):
+        # the bordered Gram matrix of 30 columns has 31^2 entries
         H = HierarchicalOperator(np.ones((1, 3)), (np.ones((1, 10)),) * 3)
         k = HiSparsity.uniform(1, 1, 3)
+        monkeypatch.setattr("hisparse.riplab.GRAM_ENTRY_BUDGET", 100)
         with pytest.raises(BudgetError):
-            hirip_constant_exact(H, k, dense_budget=100)
-        assert hirip_constant_exact(H, k, dense_budget=31**2).supports_examined == 30
+            hirip_constant_exact(H, k)
+        monkeypatch.setattr("hisparse.riplab.GRAM_ENTRY_BUDGET", 31**2)
+        assert hirip_constant_exact(H, k).supports_examined == 30
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr("hisparse.riplab.DEFAULT_SUPPORT_BUDGET", 100)
         rng = np.random.default_rng(20)
         A, Bs = random_operator(rng, 2, 6, 8, (8,) * 6)
         H = HierarchicalOperator(A, Bs)
         with pytest.raises(BudgetError):
-            hirip_constant_exact(H, HiSparsity.uniform(3, 3, 6), budget=100)
+            hirip_constant_exact(H, HiSparsity.uniform(2, 1, 6))
 
 
 class TestArgmaxRules:
@@ -259,7 +274,7 @@ class TestArgmaxRules:
         # delta 1, and (0, 3) comes first
         e = np.eye(2)
         B = np.stack([e[0], e[1], e[1], e[0]], axis=1).astype(complex)
-        delta, _, row, count = _max_deviation(B, [(None, _combinations(4, 2))], chunk)
+        delta, row, count = _max_deviation(flat_gram(B), [_combinations(4, 2)], chunk)
         assert tuple(row.tolist()) == (0, 3)
         assert delta == pytest.approx(1.0, abs=1e-12)
         assert count == 6
@@ -278,13 +293,12 @@ class TestArgmaxRules:
         assert abs(est.delta - want) <= 1e-12
         assert est.supports_examined == count
         assert est.argmax_support == HiSupport(tuple(arg), arg)
-        dense = H.assemble_dense()
+        gram = _deviation_gram(H.total_dim, H.gram)
         for chunk in (1, 7, 40, 4096):
-            delta, blocks, row, examined = _max_deviation(
-                dense, _hierarchical_batches(H.structure, k), chunk
+            delta, row, examined = _max_deviation(
+                gram, _hierarchical_batches(H.structure, k), chunk
             )
             assert abs(delta - want) <= 1e-12
-            assert blocks == tuple(arg)
             assert examined == count
             np.testing.assert_array_equal(
                 row, HiSupport(tuple(arg), arg).column_indices(H.structure)
@@ -299,7 +313,7 @@ class TestArgmaxRules:
         # supports) go through the pruning bounds
         norms = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]
         B = np.diag(norms)
-        delta, _, row, count = _max_deviation(B, [(None, _combinations(9, 2))], chunk)
+        delta, row, count = _max_deviation(flat_gram(B), [_combinations(9, 2)], chunk)
         assert delta == 3.0
         assert tuple(row.tolist()) == (0, 3)
         assert count == 36
@@ -333,11 +347,9 @@ class TestSupportEnumeration:
         total = sum(sizes)
         width = sum(sorted(k.sigma, reverse=True)[: k.s])
         batches = list(_hierarchical_batches(BlockStructure(sizes), k))
-        assert [blocks for blocks, _ in batches] == list(
-            itertools.combinations(range(len(sizes)), k.s)
-        )
-        for blocks, rows in batches:
-            want = []
+        assert len(batches) == math.comb(len(sizes), k.s)
+        want = []
+        for blocks in itertools.combinations(range(len(sizes)), k.s):
             for choice in itertools.product(
                 *(
                     itertools.combinations(range(offsets[b], offsets[b] + sizes[b]), k.sigma[b])
@@ -346,9 +358,10 @@ class TestSupportEnumeration:
             ):
                 row = [c for cols in choice for c in cols]
                 want.append(row + [total] * (width - len(row)))
-            assert rows.dtype == np.intp
-            assert rows.shape == (len(want), width)
-            assert rows.tolist() == want
+        rows = np.concatenate(batches)
+        assert all(batch.dtype == np.intp for batch in batches)
+        assert rows.shape == (len(want), width)
+        assert rows.tolist() == want
 
     def test_pruned_chunk_never_gathers_complex(self):
         # one pruned chunk of 4,096 width-6 supports: the (4096, 6, 6) index
@@ -360,7 +373,7 @@ class TestSupportEnumeration:
         gather_bytes = rows.shape[0] * 6 * 6 * np.dtype(np.complex128).itemsize
         tracemalloc.start()
         try:
-            _, _, _, count = _max_deviation(B, [(None, rows)])
+            _, _, count = _max_deviation(flat_gram(B), [rows])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,6 +411,32 @@ class TestHiRipBound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             hirip_bound(-0.1, (0.0,))
+
+    def test_attained_on_kronecker_operators(self):
+        # A kron B on a support with the same in-block coordinates T in each
+        # of the blocks S restricts to A_S kron B_T, whose Gram eigenvalues
+        # are products: when delta_s(A) and delta_sigma(B) are both
+        # lambda_max - 1 at their argmax supports, the product bound is
+        # the exact hierarchical constant
+        def upper_side(B, est):
+            sub = B[:, list(est.argmax_support)]
+            top = np.linalg.eigvalsh(sub.conj().T @ sub)[-1] - 1.0
+            return abs(top - est.delta) <= 1e-13
+
+        rng = np.random.default_rng(43)
+        attained = 0
+        for _ in range(120):
+            M, N, m, n = (int(v) for v in rng.integers(2, 6, size=4))
+            s = int(rng.integers(1, min(3, N) + 1))
+            sig = int(rng.integers(1, min(3, n) + 1))
+            A, B = gaussian_matrix(M, N, rng), gaussian_matrix(m, n, rng)
+            est_a, est_b = rip_constant_exact(A, s), rip_constant_exact(B, sig)
+            if not (upper_side(A, est_a) and upper_side(B, est_b)):
+                continue
+            attained += 1
+            d_h = hirip_constant_exact(kronecker_operator(A, B), HiSparsity.uniform(s, sig, N))
+            assert abs(d_h.delta - hirip_bound(est_a.delta, [est_b.delta])) <= 1e-12
+        assert attained >= 60
 
 
 class TestGramMatrix:
@@ -598,3 +637,34 @@ class TestLemma1:
         X[0, 1] = 1.0
         with pytest.raises(ValueError):
             lemma1_check(A, X)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rip_constant_exact(np.array([[1.0, np.nan], [0.0, 1.0]]), 1),
+        lambda: rip_constant_exact(np.ones(4), 1),
+        lambda: prop1_check(
+            kronecker_operator(np.eye(2), np.eye(3)),
+            HiSparsity.uniform(1, 1, 2),
+            (0,),
+            {0: np.array([np.nan, 0.0, 0.0])},
+        ),
+        lambda: lemma1_check(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        lambda: hirip_bound(np.nan, [0.1]),
+        lambda: hirip_bound(0.1, [0.2, np.nan]),
+        lambda: hirip_bound(0.1, []),
+    ],
+    ids=[
+        "rip-nan",
+        "rip-1d",
+        "prop1-nan-probe",
+        "lemma1-nan",
+        "bound-nan-a",
+        "bound-nan-b",
+        "bound-no-blocks",
+    ],
+)
+def test_malformed_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -11,13 +11,14 @@ from hisparse.blocks import HiSparsity
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
     _PRUNE_MIN,
+    _deviation_gram,
     _hierarchical_batches,
     _max_deviation,
     hierarchical_support_count,
     hirip_constant_exact,
 )
 
-from oracles import hirip_by_patterns, random_operator
+from oracles import dense_by_entries, hirip_by_patterns, random_operator
 
 
 @st.composite
@@ -49,7 +50,7 @@ def test_hirip_matches_exhaustive_oracle(instance):
     sup = est.argmax_support
     assert len(sup.active_blocks) == k.s
     assert all(len(sup.entries[b]) == k.sigma[b] for b in sup.active_blocks)
-    sub = H.assemble_dense()[:, sup.column_indices(H.structure)]
+    sub = dense_by_entries(A, Bs)[:, sup.column_indices(H.structure)]
     attained = np.abs(np.linalg.eigvalsh(sub.conj().T @ sub) - 1.0).max() if sub.size else 0.0
     assert abs(attained - est.delta) <= 1e-12
 
@@ -79,10 +80,9 @@ def pruned_instances(draw):
 @hypothesis.given(pruned_instances())
 def test_pruning_changes_no_result(instance):
     H, k = instance
-    dense = H.assemble_dense()
-    pruned = _max_deviation(dense, _hierarchical_batches(H.structure, k), 4096)
-    whole = _max_deviation(dense, _hierarchical_batches(H.structure, k), _PRUNE_MIN)
+    gram = _deviation_gram(H.total_dim, H.gram)
+    pruned = _max_deviation(gram, _hierarchical_batches(H.structure, k), 4096)
+    whole = _max_deviation(gram, _hierarchical_batches(H.structure, k), _PRUNE_MIN)
     assert pruned[0] == whole[0]
-    assert pruned[1] == whole[1]
-    assert pruned[2].tolist() == whole[2].tolist()
-    assert pruned[3] == whole[3] == hierarchical_support_count(H.structure, k)
+    assert pruned[1].tolist() == whole[1].tolist()
+    assert pruned[2] == whole[2] == hierarchical_support_count(H.structure, k)
