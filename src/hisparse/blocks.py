@@ -162,6 +162,16 @@ class HiSupport:
         return cls((), {})
 
     @classmethod
+    def _canonical(cls, entries: dict[int, tuple[int, ...]]) -> "HiSupport":
+        """The support with these entries, which must already be canonical:
+        int block keys in ascending order, each mapped to a sorted tuple of
+        ints.  Skips the sorting and conversion of __post_init__."""
+        support = object.__new__(cls)
+        object.__setattr__(support, "active_blocks", tuple(entries))
+        object.__setattr__(support, "entries", entries)
+        return support
+
+    @classmethod
     def of_columns(cls, structure: BlockStructure, cols) -> "HiSupport":
         """The support covering the given distinct global coordinate
         indices (the inverse of column_indices)."""
@@ -177,7 +187,7 @@ class HiSupport:
             int(b[0]): tuple(local.tolist())
             for b, local in zip(np.split(blocks, cuts), np.split(cols - offsets[blocks], cuts))
         }
-        return cls(tuple(entries), entries)
+        return cls._canonical(entries)
 
     @classmethod
     def of_nonzeros(cls, x: BlockVector) -> "HiSupport":
@@ -278,8 +288,8 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     out = BlockVector.zeros(st)
     kept = np.concatenate(cols)
     out.coeffs[kept] = x.coeffs[kept]
-    entries = {i: (c - st.offset(i)).tolist() for i, c in zip(winners, cols)}
-    return out, HiSupport(tuple(winners), entries)
+    entries = {i: tuple((c - st.offset(i)).tolist()) for i, c in zip(winners, cols)}
+    return out, HiSupport._canonical(entries)
 
 
 def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:

@@ -299,10 +299,10 @@ def _detection_trial(args) -> list[TrialRecord]:
         placement=PLACEMENT_FRONT, front_width=cfg.front_width, front_blocks=short,
     )
     # same measurements solved twice: without and with the short-block prior
-    H_mixed = HierarchicalOperator(H.A, tuple(
+    H_mixed = H._with_blocks(
         restrict_columns(B, range(cfg.front_width)) if i in short else B
         for i, B in enumerate(H.Bs)
-    ))
+    )
     cell = dict(
         scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
         seed=stream_fingerprint(cfg.master_seed, *ids),

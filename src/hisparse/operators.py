@@ -12,6 +12,8 @@ matrices are plain complex128 numpy arrays throughout.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,9 @@ class HierarchicalOperator:
     def __post_init__(self):
         self.A = _as_matrix(self.A)
         self.Bs = tuple(_as_matrix(B) for B in self.Bs)
+        self._check_shapes()
+
+    def _check_shapes(self) -> None:
         if len(self.Bs) != self.A.shape[1]:
             raise DimensionError(
                 f"A has {self.A.shape[1]} columns but {len(self.Bs)} block "
@@ -50,6 +55,15 @@ class HierarchicalOperator:
         if len(rows) != 1:
             raise DimensionError(f"all B_i must share one row count, got {sorted(rows)}")
         self._structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
+
+    def _with_blocks(self, Bs) -> "HierarchicalOperator":
+        """The operator on this A with block matrices Bs, each one of this
+        operator's B_i or a column subset of one: they are complex128, 2-D
+        and finite already, so they are not scanned again."""
+        H = copy.copy(self)
+        H.Bs = tuple(Bs)
+        H._check_shapes()
+        return H
 
     @property
     def num_antennas(self) -> int:  # M
@@ -107,38 +121,55 @@ class HierarchicalOperator:
         np.conj(out.coeffs, out=out.coeffs)
         return out
 
-    def gram(self) -> np.ndarray:
-        """Gram matrix H^* H, total_dim x total_dim: the entry of columns c
-        in block b and c' in block b' is (A^*A)[b, b'] * (B_b^* B_b')[c, c'].
+    @functools.cached_property
+    def _mixing_gram(self) -> np.ndarray:
+        """A^* A, N x N."""
+        return self.A.conj().T @ self.A
 
-        Built from A^*A and the Gram matrix of the m-row stack of the B_i,
-        without assembling the (M*m) x total_dim dense matrix."""
-        owner = np.repeat(np.arange(self.num_blocks), self._structure.block_sizes)
-        inner = np.concatenate(self.Bs, axis=1)
+    def _gather(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """The inner columns of the given sorted, in-range global columns
+        (all of them when cols is None): the m x len(cols) stack of the
+        columns B_b[:, c], and the block b owning each."""
+        if cols is None:
+            parts, counts = self.Bs, self._structure.block_sizes
+        else:
+            cols = np.asarray(cols, dtype=np.intp)
+            offsets = np.asarray(self._structure._offsets)
+            cuts = np.searchsorted(cols, offsets)  # block b holds cols[cuts[b]:cuts[b + 1]]
+            counts = np.diff(cuts)
+            local = cols - np.repeat(offsets[:-1], counts)
+            c = cuts.tolist()
+            parts = [self.Bs[b][:, local[c[b] : c[b + 1]]]
+                     for b in np.flatnonzero(counts).tolist()]
+            parts = parts or [np.empty((self.inner_rows, 0), dtype=np.complex128)]
+        return np.concatenate(parts, axis=1), np.repeat(np.arange(self.num_blocks), counts)
+
+    def gram(self, cols=None) -> np.ndarray:
+        """Gram matrix of the given sorted, in-range global columns (all
+        total_dim of them when cols is None), i.e. H^* H restricted to
+        them: the entry of columns c in block b and c' in block b' is
+        (A^*A)[b, b'] * (B_b^* B_b')[c, c'].
+
+        Built in O(m len(cols)^2) from A^*A and the Gram matrix of the
+        m-row stack of the selected B columns, without assembling the
+        (M*m) x len(cols) dense matrix."""
+        inner, owner = self._gather(cols)
         gram = inner.conj().T @ inner
-        gram *= (self.A.conj().T @ self.A)[np.ix_(owner, owner)]
+        gram *= self._mixing_gram[np.ix_(owner, owner)]
         return gram
 
     def dense_columns(self, cols: np.ndarray) -> np.ndarray:
         """Dense (M*m) x len(cols) matrix of the given sorted, in-range
         global columns: column c of block b is kron(a_b, B_b[:, c]).
 
-        The inner columns are gathered into one m x len(cols) matrix and
-        multiplied by their mixing columns into one (M, m, len(cols))
-        buffer, so every entry is the single product A[j, b] * B_b[r, c],
-        exactly as in kron.
+        The inner columns are multiplied by their mixing columns into one
+        (M, m, len(cols)) buffer, so every entry is the single product
+        A[j, b] * B_b[r, c], exactly as in kron.
         """
-        cols = np.asarray(cols, dtype=np.intp)
-        offsets = np.asarray(self._structure._offsets)
-        cuts = np.searchsorted(cols, offsets)  # block b holds cols[cuts[b]:cuts[b + 1]]
-        counts = np.diff(cuts)
-        inner = np.empty((self.inner_rows, cols.size), dtype=np.complex128)
-        for b in np.flatnonzero(counts):
-            lo, hi = cuts[b], cuts[b + 1]
-            inner[:, lo:hi] = self.Bs[b][:, cols[lo:hi] - offsets[b]]
-        out = np.empty((self.num_antennas, self.inner_rows, cols.size), dtype=np.complex128)
-        np.multiply(self.A[:, None, np.repeat(np.arange(self.num_blocks), counts)], inner, out=out)
-        return out.reshape(self.out_dim, cols.size)
+        inner, owner = self._gather(cols)
+        out = np.empty((self.num_antennas, self.inner_rows, inner.shape[1]), dtype=np.complex128)
+        np.multiply(self.A[:, None, owner], inner, out=out)
+        return out.reshape(self.out_dim, inner.shape[1])
 
 
 def kronecker_operator(A, B) -> HierarchicalOperator:

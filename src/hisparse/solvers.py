@@ -26,9 +26,12 @@ STOP_LS_FAILURE = "ls-failure"
 class SolverConfig:
     """Iteration and tolerance knobs shared by the pursuit solvers.
 
-    The refit is always one dense least-squares solve (LAPACK gelsd via
-    numpy.linalg.lstsq) on the columns of the selected support, so it is a
-    function of the support alone.
+    The refit on the selected support S solves its normal equations by
+    Cholesky on the structured Gram matrix when out_dim >= 2|S|, and takes
+    one dense least-squares solve (LAPACK gelsd via numpy.linalg.lstsq)
+    otherwise, or when the Cholesky factor L fails or has min/max diag(L)
+    below GRAM_DIAG_RATIO = 1e-6 (see _restricted_lstsq).  The route
+    depends on |S| alone, so the refit is a function of the support alone.
     """
 
     max_iters: int = 50
@@ -57,20 +60,66 @@ def _scatter(H: HierarchicalOperator, cols: np.ndarray, values: np.ndarray) -> B
     return out
 
 
+# Cholesky fallback threshold on min/max diag(L): below it the normal
+# equations are too ill-conditioned to trust, and lstsq decides.
+GRAM_DIAG_RATIO = 1e-6
+_TRI_BLOCK = 64  # rows per diagonal block of _triangular_solve
+
+
+def _triangular_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """T^{-1} b for triangular T, by blocked substitution: one small
+    np.linalg.solve per diagonal block, after subtracting the solved part."""
+    n = b.size
+    x = np.empty_like(b)
+    starts = range(0, n, _TRI_BLOCK)
+    for lo in starts if lower else reversed(starts):
+        hi = min(lo + _TRI_BLOCK, n)
+        done = slice(0, lo) if lower else slice(hi, n)
+        x[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi], b[lo:hi] - T[lo:hi, done] @ x[done])
+    return x
+
+
+def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """G^{-1} b by Cholesky for Hermitian G, or None when the factorization
+    fails or min/max diag(L) < GRAM_DIAG_RATIO."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    d = L.diagonal().real
+    if d.min() < GRAM_DIAG_RATIO * d.max():
+        return None
+    w = _triangular_solve(L, b, lower=True)
+    # L^* z = w as L^T conj(z) = conj(w): L.T is a view, no conjugated copy
+    return np.conj(_triangular_solve(L.T, np.conj(w), lower=False))
+
+
 def _restricted_lstsq(
-    H: HierarchicalOperator, y: np.ndarray, support: HiSupport
+    H: HierarchicalOperator, y: np.ndarray, support: HiSupport, hy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Minimize ||y - H z|| over z supported in `support`.
+    """Minimize ||y - H z|| over z supported in `support`; hy is H^* y.
 
     Returns the support's global column indices in ascending order (the
     support is validated once, here: IndexError when it does not fit H),
     the minimizer's values on them (scatter them with _scatter) and whether
-    the selected columns are rank deficient.  One dense lstsq on the
-    assembled columns: the result depends on the support alone, which the
-    pursuit's cycle skip relies on."""
+    the selected columns are rank deficient.
+
+    A support with out_dim >= 2|S| solves the normal equations
+    G z = (H^* y)[S], with G = H.gram(cols) built from the structure in
+    O(m|S|^2), by Cholesky.  The normal equations square the condition
+    number; by the Marchenko-Pastur edges, cond(G) of a random support at
+    most half as wide as it is tall is about 34 at most.  Wider supports, and a Cholesky that fails
+    or whose min/max diag(L) is below GRAM_DIAG_RATIO, take one dense lstsq
+    on the assembled columns, whose rank check reports rank deficiency.
+    The route depends on the support's size alone, so the result depends on
+    the support alone, which the pursuit's cycle skip relies on."""
     cols = support.column_indices(H.structure)
     if not cols.size:
         return cols, np.zeros(0, dtype=np.complex128), False
+    if H.out_dim >= 2 * cols.size:
+        sol = _gram_solve(H.gram(cols), hy[cols])
+        if sol is not None:
+            return cols, sol, False
     sol, _, rank, _ = np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)
     return cols, sol, rank < cols.size
 
@@ -89,12 +138,14 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
     y_norm = float(np.linalg.norm(y))
     x = BlockVector.zeros(H.structure)
     r = y  # residual of x = 0
+    # the first gradient H^* y, also the right-hand side of every refit
+    hy = H.adjoint_apply(y)
     # every support refit so far -> (iteration, its columns, refit values,
     # residual norm)
     refits: dict[HiSupport, tuple[int, np.ndarray, np.ndarray, float]] = {}
     supports: list[HiSupport] = []  # supports[t - 1] was refit at iteration t
     for t in range(1, cfg.max_iters + 1):
-        grad = H.adjoint_apply(r)
+        grad = H.adjoint_apply(r) if t > 1 else hy
         u = BlockVector(H.structure, x.coeffs + grad.coeffs)
         _, new_support = project(u)
         seen = refits.get(new_support)
@@ -112,7 +163,7 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
                 _scatter(H, cols, sol), end, cfg.max_iters, res, False, STOP_MAX_ITERS
             )
         support = new_support
-        cols, sol, rank_deficient = _restricted_lstsq(H, y, support)
+        cols, sol, rank_deficient = _restricted_lstsq(H, y, support, hy.coeffs)
         x = _scatter(H, cols, sol)
         r = y - H.apply(x)
         residual = float(np.linalg.norm(r))

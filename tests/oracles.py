@@ -139,28 +139,34 @@ def random_hi_sparse(rng, structure: BlockStructure, k: HiSparsity) -> BlockVect
     return x
 
 
-def reference_pursuit(H, y, project, max_iters=50, residual_tol=1e-7):
+def kron_lstsq_refit(H, y, support):
+    """Least squares of y on the support's columns, each assembled by kron
+    and solved by one dense lstsq.
+
+    Returns (estimate as a BlockVector, whether the columns are rank
+    deficient)."""
+    cols = [np.kron(H.A[:, b : b + 1],
+                    H.Bs[b][:, np.asarray(support.entries[b], dtype=np.intp)])
+            for b in support.active_blocks if support.entries[b]]
+    x = BlockVector.zeros(H.structure)
+    if not cols:
+        return x, False
+    sol, _, rank, _ = np.linalg.lstsq(np.hstack(cols), y, rcond=None)
+    pos = 0
+    for b in support.active_blocks:
+        local = np.asarray(support.entries[b], dtype=np.intp)
+        x.block(b)[local] = sol[pos : pos + local.size]
+        pos += local.size
+    return x, rank < sol.size
+
+
+def reference_pursuit(H, y, project, refit, max_iters=50, residual_tol=1e-7):
     """Reference pursuit loop that runs every iteration: no periodic-tail
-    skip, the residual recomputed after each refit, and the refit a dense
-    lstsq on the assembled support columns.
+    skip, the residual recomputed after each refit.  refit(support) returns
+    (estimate, rank deficient), as kron_lstsq_refit does for fixed H and y.
 
     Returns (estimate, support, iterations, residual_norm, converged,
     stop_reason)."""
-    def refit(support):
-        cols = [np.kron(H.A[:, b : b + 1],
-                        H.Bs[b][:, np.asarray(support.entries[b], dtype=np.intp)])
-                for b in support.active_blocks if support.entries[b]]
-        x = BlockVector.zeros(H.structure)
-        if not cols:
-            return x, False
-        sol, _, rank, _ = np.linalg.lstsq(np.hstack(cols), y, rcond=None)
-        pos = 0
-        for b in support.active_blocks:
-            local = np.asarray(support.entries[b], dtype=np.intp)
-            x.block(b)[local] = sol[pos : pos + local.size]
-            pos += local.size
-        return x, rank < sol.size
-
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     y_norm = float(np.linalg.norm(y))
     x = BlockVector.zeros(H.structure)

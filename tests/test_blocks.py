@@ -113,6 +113,24 @@ class TestTypes:
             HiSupport.of_columns(st, [5])
 
 
+    def test_canonical_supports_match_validated_ones(self):
+        # hi_threshold and of_columns build their supports without the
+        # sorting constructor; they must equal (and hash as) what it builds
+        rng = np.random.default_rng(8)
+        st = BlockStructure((4, 7, 1, 5, 7))
+        for _ in range(50):
+            x = BlockVector(st, rng.standard_normal(st.total_dim))
+            sigma = tuple(int(rng.integers(0, n + 1)) for n in st.block_sizes)
+            k = HiSparsity(int(rng.integers(1, 6)), sigma)
+            cols = rng.choice(st.total_dim, size=rng.integers(0, st.total_dim + 1), replace=False)
+            for sup in (hi_threshold(x, k)[1], HiSupport.of_columns(st, cols)):
+                want = HiSupport(sup.active_blocks, sup.entries)
+                assert sup == want and hash(sup) == hash(want)
+                assert [type(b) for b in sup.active_blocks] == [int] * len(want.active_blocks)
+                assert all(type(sup.entries[b]) is tuple for b in sup.active_blocks)
+                assert all(type(c) is int for b in sup.active_blocks for c in sup.entries[b])
+
+
 class TestHiThreshold:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

@@ -5,6 +5,7 @@ import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector
 from hisparse.errors import DimensionError
+from hisparse import operators
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 
 from oracles import dense_by_entries, random_operator
@@ -154,6 +155,19 @@ class TestGram:
         assert G.shape == want.shape
         assert np.linalg.norm(G - want) <= 1e-13 * np.linalg.norm(want)
 
+    def test_column_subset(self):
+        # gram(cols) is the Gram matrix of dense_columns(cols); over every
+        # column it is gram() bit for bit
+        rng = np.random.default_rng(11)
+        A, Bs = random_operator(rng, 4, 4, 5, (3, 6, 2, 4))
+        H = HierarchicalOperator(A, Bs)
+        for width in (1, 4, 9):
+            cols = np.sort(rng.choice(H.total_dim, size=width, replace=False))
+            D = dense_by_entries(A, Bs)[:, cols]
+            want = D.conj().T @ D
+            assert np.linalg.norm(H.gram(cols) - want) <= 1e-13 * np.linalg.norm(want)
+        np.testing.assert_array_equal(H.gram(np.arange(H.total_dim)), H.gram())
+
 
 class TestKronecker:
     def test_single_column_is_b(self):
@@ -183,6 +197,26 @@ class TestValidationAndSerialization:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionError):
             HierarchicalOperator(np.eye(2), (np.eye(2), np.eye(3)))
+
+    def test_with_blocks_shares_checked_matrices(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        A, Bs = random_operator(rng, 3, 2, 4, (5, 6))
+        H = HierarchicalOperator(A, Bs)
+        scans = []
+        monkeypatch.setattr(operators, "_as_matrix", scans.append)
+        H2 = H._with_blocks((H.Bs[0][:, :2].copy(), H.Bs[1]))
+        assert scans == []
+        assert H2.A is H.A and H2.Bs[1] is H.Bs[1]
+        assert H2.structure == BlockStructure((2, 6)) and H.structure == BlockStructure((5, 6))
+        monkeypatch.undo()
+        x = random_block_vector(rng, H2.structure)
+        np.testing.assert_array_equal(
+            H2.apply(x), HierarchicalOperator(H.A, H2.Bs).apply(x)
+        )
+        with pytest.raises(DimensionError):
+            H._with_blocks((H.Bs[0],))
+        with pytest.raises(DimensionError):
+            H._with_blocks((H.Bs[0], H.Bs[1][:3]))
 
     @pytest.mark.parametrize("which", ["A", "B"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -29,6 +29,7 @@ from oracles import (
     dense_by_entries,
     enumerate_hi_patterns,
     flat_top_k,
+    kron_lstsq_refit,
     random_operator,
     reference_pursuit,
 )
@@ -44,9 +45,13 @@ def desk_operator(seed, M=12, N=16, m=16, n=32):
     return HierarchicalOperator(A, Bs)
 
 
-def lstsq_refit(H, y, support):
-    """The pursuit's refit: least squares of y on the support, zero elsewhere."""
-    return solvers._scatter(H, *solvers._restricted_lstsq(H, y, support)[:2])
+def package_refit(H, y, support):
+    """The pursuit's refit as (estimate, rank deficient): least squares of y
+    on the support, zero elsewhere."""
+    cols, sol, rank_deficient = solvers._restricted_lstsq(
+        H, y, support, H.adjoint_apply(y).coeffs
+    )
+    return solvers._scatter(H, cols, sol), rank_deficient
 
 
 class TestLeastSquares:
@@ -55,7 +60,7 @@ class TestLeastSquares:
         A, Bs = random_operator(rng, 2, 2, 2, (2, 2))
         H = HierarchicalOperator(A, Bs)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        z = lstsq_refit(H, y, HiSupport.of_columns(H.structure, range(H.total_dim)))
+        z = package_refit(H, y, HiSupport.of_columns(H.structure, range(H.total_dim)))[0]
         want = np.linalg.solve(dense_by_entries(A, Bs), y)
         assert np.linalg.norm(z.coeffs - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -66,7 +71,7 @@ class TestLeastSquares:
         x.block(1)[2] = 1.5 - 0.5j
         x.block(3)[0] = -2.0
         sup = HiSupport((1, 3), {1: (0, 2), 3: (0, 5)})
-        z = lstsq_refit(H, H.apply(x), sup)
+        z = package_refit(H, H.apply(x), sup)[0]
         assert np.linalg.norm(z.coeffs - x.coeffs) <= 1e-10
 
     def test_matches_qr_oracle(self):
@@ -76,7 +81,7 @@ class TestLeastSquares:
         sup = HiSupport((0, 1, 3), {0: (0, 1, 2), 1: (0, 1, 2), 3: (0, 1, 2)})
         for wide in range(3):
             y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-            z = lstsq_refit(H, y, sup)
+            z = package_refit(H, y, sup)[0]
             R = np.hstack(
                 [np.kron(A[:, [b]], Bs[b][:, :3]) for b in (0, 1, 3)]
             )
@@ -87,13 +92,112 @@ class TestLeastSquares:
 
     def test_empty_support(self):
         H = identity_operator(3)
-        z = lstsq_refit(H, np.ones(3), HiSupport.empty())
+        z = package_refit(H, np.ones(3), HiSupport.empty())[0]
         np.testing.assert_array_equal(z.coeffs, np.zeros(3))
 
     def test_out_of_range_support_rejected(self):
         H = identity_operator(3)
         with pytest.raises(IndexError):
-            lstsq_refit(H, np.ones(3), HiSupport((0,), {0: (1, 3)}))
+            package_refit(H, np.ones(3), HiSupport((0,), {0: (1, 3)}))
+
+def refit_routes(monkeypatch):
+    """Record whether each refit's Gram route solved it (False: lstsq)."""
+    routes = []
+    gram_solve = solvers._gram_solve
+
+    def recording(*args):
+        sol = gram_solve(*args)
+        routes.append(sol is not None)
+        return sol
+
+    monkeypatch.setattr(solvers, "_gram_solve", recording)
+    return routes
+
+
+class TestRefitRoutes:
+    """The refit solves supports with out_dim >= 2|S| by Cholesky on the
+    structured Gram matrix and every other support by lstsq."""
+
+    # (M, m, block sizes, support size): out_dim = M * m rows, and no block
+    # wider than m, so that every support has full column rank
+    SHAPES = [
+        (5, 8, (3, 7, 4, 6), 4),     # 40 rows, 4 columns: Gram
+        (5, 8, (3, 7, 4, 6), 20),    # 40 rows, 20 columns: Gram, exactly 2x
+        (4, 6, (5, 5, 5, 5), 13),    # 24 rows, 13 columns: lstsq
+        (3, 10, (9, 5, 10, 8), 28),  # 30 rows, 28 columns: lstsq
+    ]
+
+    @pytest.mark.parametrize("M, m, sizes, width", SHAPES)
+    def test_matches_kron_lstsq(self, monkeypatch, M, m, sizes, width):
+        routes = refit_routes(monkeypatch)
+        rng = np.random.default_rng(width)
+        for _ in range(10):
+            A, Bs = random_operator(rng, M, len(sizes), m, sizes)
+            H = HierarchicalOperator(A, Bs)
+            sup = HiSupport.of_columns(
+                H.structure, rng.choice(H.total_dim, size=width, replace=False)
+            )
+            y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+            got, failed = package_refit(H, y, sup)
+            want, want_failed = kron_lstsq_refit(H, y, sup)
+            assert not failed and not want_failed
+            # the normal equations square the condition number; 1e-12
+            # relative leaves a wide margin over the largest observed 6e-15
+            assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-12 * np.linalg.norm(want.coeffs)
+        assert routes == ([True] * 10 if H.out_dim >= 2 * width else [])
+
+    @pytest.mark.parametrize("M, m, sizes, width", SHAPES[2:])
+    def test_wide_support_is_lstsq_bitwise(self, M, m, sizes, width):
+        rng = np.random.default_rng(100 + width)
+        A, Bs = random_operator(rng, M, len(sizes), m, sizes)
+        H = HierarchicalOperator(A, Bs)
+        cols = np.sort(rng.choice(H.total_dim, size=width, replace=False))
+        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+        got_cols, sol, _ = solvers._restricted_lstsq(
+            H, y, HiSupport.of_columns(H.structure, cols), H.adjoint_apply(y).coeffs
+        )
+        np.testing.assert_array_equal(got_cols, cols)
+        np.testing.assert_array_equal(
+            sol, np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
+        )
+
+    def test_ill_conditioned_tall_support_falls_back_to_lstsq(self, monkeypatch):
+        # column 1 is column 0 moved by 1e-9: Cholesky succeeds, but
+        # min/max diag(L) is about 1e-9, below GRAM_DIAG_RATIO
+        routes = refit_routes(monkeypatch)
+        rng = np.random.default_rng(16)
+        A, Bs = random_operator(rng, 4, 2, 6, (4, 4))
+        Bs[0][:, 1] = Bs[0][:, 0] + 1e-9 * Bs[0][:, 2]
+        H = HierarchicalOperator(A, Bs)
+        cols = np.array([0, 1, 5])
+        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+        L = np.linalg.cholesky(H.gram(cols))
+        assert L.diagonal().real.min() < solvers.GRAM_DIAG_RATIO * L.diagonal().real.max()
+        _, sol, rank_deficient = solvers._restricted_lstsq(
+            H, y, HiSupport.of_columns(H.structure, cols), H.adjoint_apply(y).coeffs
+        )
+        assert routes == [False] and not rank_deficient
+        np.testing.assert_array_equal(
+            sol, np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
+        )
+
+    def test_ls_failure_on_tall_support_with_duplicated_column(self, monkeypatch):
+        # B_0 repeats its column 0 as column 1; the support holds both, so
+        # Gram route declines it and lstsq's rank check flags it
+        routes = refit_routes(monkeypatch)
+        rng = np.random.default_rng(15)
+        A, Bs = random_operator(rng, 4, 2, 6, (4, 4))
+        Bs[0][:, 1] = Bs[0][:, 0]
+        H = HierarchicalOperator(A, Bs)
+        x = BlockVector.zeros(H.structure)
+        x.block(0)[0] = 1.0
+        res = hihtp(H, H.apply(x), HiSparsity.uniform(1, 2, 2))
+        assert res.support == HiSupport((0,), {0: (0, 1)})
+        assert H.out_dim >= 2 * res.support.num_entries
+        assert routes == [False]
+        assert res.stop_reason == STOP_LS_FAILURE
+        assert not res.converged
+
 
 class TestHihtp:
     def test_identity_recovers_in_one_iteration(self):
@@ -141,7 +245,7 @@ class TestHihtp:
         # the refit never does worse than the thresholded gradient iterate
         rng = np.random.default_rng(7)
         k = HiSparsity.uniform(2, 2, 6)
-        tol = 1e-10  # relative to ||y||; the refit is a dense least-squares solve
+        tol = 1e-10  # relative to ||y||; the refit is a least-squares solve
         for trial in range(20):
             H = desk_operator(300 + trial, M=5, N=6, m=6, n=8)
             y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
@@ -150,7 +254,7 @@ class TestHihtp:
                 grad = H.adjoint_apply(y - H.apply(x))
                 u = BlockVector(H.structure, x.coeffs + grad.coeffs)
                 x_thr, sup = hi_threshold(u, k)
-                refit = lstsq_refit(H, y, sup)
+                refit = package_refit(H, y, sup)[0]
                 r_refit = np.linalg.norm(y - H.apply(refit))
                 r_thr = np.linalg.norm(y - H.apply(x_thr))
                 assert r_refit <= r_thr + tol * np.linalg.norm(y)
@@ -300,7 +404,7 @@ class TestNonFiniteMeasurements:
 class TestCycleSkip:
     """Once a support recurs the run is periodic and its tail is skipped; the
     result must be bit-identical to running every iteration
-    (oracles.reference_pursuit)."""
+    (oracles.reference_pursuit with the package's own refit)."""
 
     @staticmethod
     def noisy_instance(seed, M=5, N=6, m=6, n=8):
@@ -323,7 +427,8 @@ class TestCycleSkip:
     @staticmethod
     def assert_matches_reference(res, H, y, project, cfg):
         x, support, iterations, residual, converged, stop = reference_pursuit(
-            H, y, project, cfg.max_iters, cfg.residual_tol
+            H, y, project, lambda sup: package_refit(H, y, sup), cfg.max_iters,
+            cfg.residual_tol,
         )
         np.testing.assert_array_equal(res.estimate.coeffs, x.coeffs)
         assert res.support == support
