@@ -30,8 +30,9 @@ class SolverConfig:
     Cholesky on the structured Gram matrix when out_dim >= 2|S|, and takes
     one dense least-squares solve (LAPACK gelsd via numpy.linalg.lstsq)
     otherwise, or when the Cholesky factor L fails or has min/max diag(L)
-    below GRAM_DIAG_RATIO = 1e-6 (see _restricted_lstsq).  The route
-    depends on |S| alone, so the refit is a function of the support alone.
+    below GRAM_DIAG_RATIO = 1e-3 (see _restricted_lstsq).  The route
+    depends on the support's shape and on its Gram matrix, both fixed by
+    the support, so the refit is a function of the support alone.
     """
 
     max_iters: int = 50
@@ -60,23 +61,11 @@ def _scatter(H: HierarchicalOperator, cols: np.ndarray, values: np.ndarray) -> B
     return out
 
 
-# Cholesky fallback threshold on min/max diag(L): below it the normal
-# equations are too ill-conditioned to trust, and lstsq decides.
-GRAM_DIAG_RATIO = 1e-6
-_TRI_BLOCK = 64  # rows per diagonal block of _triangular_solve
-
-
-def _triangular_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """T^{-1} b for triangular T, by blocked substitution: one small
-    np.linalg.solve per diagonal block, after subtracting the solved part."""
-    n = b.size
-    x = np.empty_like(b)
-    starts = range(0, n, _TRI_BLOCK)
-    for lo in starts if lower else reversed(starts):
-        hi = min(lo + _TRI_BLOCK, n)
-        done = slice(0, lo) if lower else slice(hi, n)
-        x[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi], b[lo:hi] - T[lo:hi, done] @ x[done])
-    return x
+# Cholesky fallback threshold on min/max diag(L).  cond(G) >= (max/min)^2,
+# so a ratio below 1e-3 means cond(G) >= 1e6, far past the Marchenko-Pastur
+# bound of about 34 for a random support at most half as wide as it is
+# tall: the normal equations are not trusted there, and lstsq decides.
+GRAM_DIAG_RATIO = 1e-3
 
 
 def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -89,9 +78,9 @@ def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     d = L.diagonal().real
     if d.min() < GRAM_DIAG_RATIO * d.max():
         return None
-    w = _triangular_solve(L, b, lower=True)
+    w = np.linalg.solve(L, b)
     # L^* z = w as L^T conj(z) = conj(w): L.T is a view, no conjugated copy
-    return np.conj(_triangular_solve(L.T, np.conj(w), lower=False))
+    return np.conj(np.linalg.solve(L.T, np.conj(w)))
 
 
 def _restricted_lstsq(
@@ -108,11 +97,12 @@ def _restricted_lstsq(
     G z = (H^* y)[S], with G = H.gram(cols) built from the structure in
     O(m|S|^2), by Cholesky.  The normal equations square the condition
     number; by the Marchenko-Pastur edges, cond(G) of a random support at
-    most half as wide as it is tall is about 34 at most.  Wider supports, and a Cholesky that fails
-    or whose min/max diag(L) is below GRAM_DIAG_RATIO, take one dense lstsq
-    on the assembled columns, whose rank check reports rank deficiency.
-    The route depends on the support's size alone, so the result depends on
-    the support alone, which the pursuit's cycle skip relies on."""
+    most half as wide as it is tall is about 34 at most.  Wider supports,
+    and a Cholesky that fails or whose min/max diag(L) is below
+    GRAM_DIAG_RATIO, take one dense lstsq on the assembled columns, whose
+    rank check reports rank deficiency.  The route depends on the support
+    alone (its size and its Gram matrix), so the result depends on the
+    support alone, which the pursuit's cycle skip relies on."""
     cols = support.column_indices(H.structure)
     if not cols.size:
         return cols, np.zeros(0, dtype=np.complex128), False

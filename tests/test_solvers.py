@@ -181,6 +181,44 @@ class TestRefitRoutes:
             sol, np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
         )
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("eps, gram", [(3e-3, True), (3e-4, False)])
+    def test_near_threshold_support(self, monkeypatch, seed, eps, gram):
+        # column 1 is column 0 moved by eps, so min/max diag(L) is within a
+        # factor 10 of GRAM_DIAG_RATIO: above it for eps = 3e-3, below it
+        # for eps = 3e-4
+        routes = refit_routes(monkeypatch)
+        rng = np.random.default_rng(seed)
+        A, Bs = random_operator(rng, 4, 2, 6, (4, 4))
+        Bs[0][:, 1] = Bs[0][:, 0] + eps * Bs[0][:, 2]
+        H = HierarchicalOperator(A, Bs)
+        cols = np.array([0, 1, 5])
+        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+        d = np.linalg.cholesky(H.gram(cols)).diagonal().real
+        ratio = d.min() / d.max() / solvers.GRAM_DIAG_RATIO
+        assert (1 <= ratio < 10) if gram else (0.1 < ratio < 1)
+        sup = HiSupport.of_columns(H.structure, cols)
+        got, failed = package_refit(H, y, sup)
+        want, want_failed = kron_lstsq_refit(H, y, sup)
+        assert routes == [gram] and not failed and not want_failed
+        # at the threshold cond(G) is up to 1e6, so the normal equations
+        # lose about 1e6 * 2.2e-16 relative; the largest observed is 5.5e-10
+        assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-8 * np.linalg.norm(want.coeffs)
+        if not gram:
+            np.testing.assert_array_equal(
+                got.coeffs[cols], np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
+            )
+
+    def test_gram_solve_on_wide_matrix(self):
+        # 150 columns: the size of a paper-scale support's Gram matrix
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((300, 150)) + 1j * rng.standard_normal((300, 150))
+        G = X.conj().T @ X
+        b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+        want = np.linalg.solve(G, b)
+        got = solvers._gram_solve(G, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_ls_failure_on_tall_support_with_duplicated_column(self, monkeypatch):
         # B_0 repeats its column 0 as column 1; the support holds both, so
         # Gram route declines it and lstsq's rank check flags it
