@@ -161,32 +161,12 @@ class TestRefitRoutes:
             sol, np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
         )
 
-    def test_ill_conditioned_tall_support_falls_back_to_lstsq(self, monkeypatch):
-        # column 1 is column 0 moved by 1e-9: Cholesky succeeds, but
-        # min/max diag(L) is about 1e-9, below GRAM_DIAG_RATIO
-        routes = refit_routes(monkeypatch)
-        rng = np.random.default_rng(16)
-        A, Bs = random_operator(rng, 4, 2, 6, (4, 4))
-        Bs[0][:, 1] = Bs[0][:, 0] + 1e-9 * Bs[0][:, 2]
-        H = HierarchicalOperator(A, Bs)
-        cols = np.array([0, 1, 5])
-        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
-        L = np.linalg.cholesky(H.gram(cols))
-        assert L.diagonal().real.min() < solvers.GRAM_DIAG_RATIO * L.diagonal().real.max()
-        _, sol, rank_deficient = solvers._restricted_lstsq(
-            H, y, HiSupport.of_columns(H.structure, cols), H.adjoint_apply(y).coeffs
-        )
-        assert routes == [False] and not rank_deficient
-        np.testing.assert_array_equal(
-            sol, np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
-        )
-
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("eps, gram", [(3e-3, True), (3e-4, False)])
-    def test_near_threshold_support(self, monkeypatch, seed, eps, gram):
-        # column 1 is column 0 moved by eps, so min/max diag(L) is within a
-        # factor 10 of GRAM_DIAG_RATIO: above it for eps = 3e-3, below it
-        # for eps = 3e-4
+    def test_ill_conditioned_tall_support(self, monkeypatch, seed, eps, gram):
+        # column 1 is column 0 moved by eps, so Cholesky succeeds with
+        # min/max diag(L) about eps: above GRAM_DIAG_RATIO for eps = 3e-3,
+        # below it for eps = 3e-4, where the refit is lstsq bit for bit
         routes = refit_routes(monkeypatch)
         rng = np.random.default_rng(seed)
         A, Bs = random_operator(rng, 4, 2, 6, (4, 4))
@@ -195,16 +175,17 @@ class TestRefitRoutes:
         cols = np.array([0, 1, 5])
         y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
         d = np.linalg.cholesky(H.gram(cols)).diagonal().real
-        ratio = d.min() / d.max() / solvers.GRAM_DIAG_RATIO
-        assert (1 <= ratio < 10) if gram else (0.1 < ratio < 1)
+        assert (d.min() >= solvers.GRAM_DIAG_RATIO * d.max()) == gram
         sup = HiSupport.of_columns(H.structure, cols)
         got, failed = package_refit(H, y, sup)
-        want, want_failed = kron_lstsq_refit(H, y, sup)
-        assert routes == [gram] and not failed and not want_failed
-        # at the threshold cond(G) is up to 1e6, so the normal equations
-        # lose about 1e6 * 2.2e-16 relative; the largest observed is 5.5e-10
-        assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-8 * np.linalg.norm(want.coeffs)
-        if not gram:
+        assert routes == [gram] and not failed
+        if gram:
+            # cond(G) is up to 1e6 here, so the normal equations lose about
+            # 1e6 * 2.2e-16 relative; the largest observed is 5.5e-10
+            want, want_failed = kron_lstsq_refit(H, y, sup)
+            assert not want_failed
+            assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-8 * np.linalg.norm(want.coeffs)
+        else:
             np.testing.assert_array_equal(
                 got.coeffs[cols], np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)[0]
             )
