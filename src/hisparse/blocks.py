@@ -22,11 +22,15 @@ class BlockStructure:
     """Partition of a flat coefficient buffer into contiguous blocks.
 
     block_sizes holds (n_1, ..., n_N); block i occupies the half-open index
-    range [offset(i), offset(i) + n_i) of the flat buffer.
+    range [offset(i), offset(i) + n_i) of the flat buffer.  The read-only
+    intp arrays starts (offset(i) per block) and owner (the block of each
+    global coordinate g, whose local index is g - starts[owner[g]]) are
+    made once and serve every global <-> (block, local) conversion.
     """
 
     block_sizes: tuple[int, ...]
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.block_sizes)
@@ -35,10 +39,11 @@ class BlockStructure:
         if any(n < 1 for n in sizes):
             raise ValueError(f"block sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
-        offs = [0]
-        for n in sizes:
-            offs.append(offs[-1] + n)
-        object.__setattr__(self, "_offsets", tuple(offs))
+        starts = np.cumsum((0,) + sizes[:-1], dtype=np.intp)
+        owner = np.arange(len(sizes), dtype=np.intp).repeat(sizes)
+        starts.flags.writeable = owner.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "owner", owner)
 
     @classmethod
     def uniform(cls, num_blocks: int, block_len: int) -> "BlockStructure":
@@ -50,18 +55,14 @@ class BlockStructure:
 
     @property
     def total_dim(self) -> int:
-        return self._offsets[-1]
+        return self.owner.size
 
     def offset(self, i: int) -> int:
-        return self._offsets[i]
-
-    @property
-    def starts(self) -> np.ndarray:
-        """offset(i) of every block, as an intp array of length N."""
-        return np.asarray(self._offsets[:-1], dtype=np.intp)
+        return self.starts.item(i)
 
     def block_slice(self, i: int) -> slice:
-        return slice(self._offsets[i], self._offsets[i + 1])
+        lo = self.starts.item(i)
+        return slice(lo, lo + self.block_sizes[i])
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,18 @@ class HiSupport:
         return cls((), {})
 
     @classmethod
-    def _canonical(cls, entries: dict[int, tuple[int, ...]]) -> "HiSupport":
-        """The support with these entries, which must already be canonical:
-        int block keys in ascending order, each mapped to a sorted tuple of
-        ints.  Skips the sorting and conversion of __post_init__."""
+    def _of_sorted(cls, structure: BlockStructure, cols: np.ndarray, idle=()) -> "HiSupport":
+        """The support covering the ascending, distinct, in-range global
+        coordinates cols (an intp array), plus the blocks in idle, which
+        hold none of them, as active blocks with no coordinates.  Built
+        canonical, skipping the sorting and conversion of __post_init__."""
+        owner = structure.owner[cols]
+        blocks, local = owner.tolist(), (cols - structure.starts[owner]).tolist()
+        # cols[lo:hi] between consecutive cuts is one block's run
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(local)]
+        entries = {blocks[lo]: tuple(local[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi}
+        if idle:
+            entries = {b: entries.get(b, ()) for b in sorted(entries.keys() | set(idle))}
         support = object.__new__(cls)
         object.__setattr__(support, "active_blocks", tuple(entries))
         object.__setattr__(support, "entries", entries)
@@ -176,18 +185,9 @@ class HiSupport:
         """The support covering the given distinct global coordinate
         indices (the inverse of column_indices)."""
         cols = np.sort(np.asarray(cols, dtype=np.intp))
-        if not cols.size:
-            return cls.empty()
-        if cols[0] < 0 or cols[-1] >= structure.total_dim:
+        if cols.size and (cols[0] < 0 or cols[-1] >= structure.total_dim):
             raise IndexError(f"column indices must lie in [0, {structure.total_dim})")
-        offsets = np.asarray(structure._offsets)
-        blocks = np.searchsorted(offsets, cols, side="right") - 1
-        cuts = np.flatnonzero(np.diff(blocks)) + 1
-        entries = {
-            int(b[0]): tuple(local.tolist())
-            for b, local in zip(np.split(blocks, cuts), np.split(cols - offsets[blocks], cuts))
-        }
-        return cls._canonical(entries)
+        return cls._of_sorted(structure, cols)
 
     @classmethod
     def of_nonzeros(cls, x: BlockVector) -> "HiSupport":
@@ -215,8 +215,7 @@ class HiSupport:
         cols = list(map(self.entries.__getitem__, self.active_blocks))
         counts = list(map(len, cols))
         local = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(counts))
-        starts = np.array(list(map(structure.offset, self.active_blocks)), dtype=np.intp)
-        return local + starts.repeat(counts)
+        return local + structure.starts[list(self.active_blocks)].repeat(counts)
 
 
 @functools.lru_cache(maxsize=16)
@@ -226,7 +225,9 @@ def _threshold_groups(structure: BlockStructure, sigma: tuple[int, ...]):
     Returns (groups, slots).  groups[g - 1] is (sigma, block indices, (c, n)
     flat indices of the c blocks) for group g >= 1, in order of first
     appearance, with read-only arrays; slots[i] is block i's (group, row),
-    and (0, 0) for a block with sigma_i = 0."""
+    and (0, 0) for a block with sigma_i = 0.  sigma is validated here, once
+    per (structure, sigma); lru_cache keeps no exceptions."""
+    HiSparsity(1, sigma).validate_for(structure)
     members: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(structure.block_sizes, sigma)):
         if key[1]:
@@ -260,10 +261,9 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     would add them.
     """
     st = x.structure
-    k.validate_for(st)
+    groups, slots = _threshold_groups(st, k.sigma)
     if not np.isfinite(x.coeffs).all():
         raise ValueError("cannot threshold non-finite coefficients")
-    groups, slots = _threshold_groups(st, k.sigma)
     mag = np.abs(x.coeffs)
     scores = np.zeros(st.num_blocks)
     # picked[g]: the (c, sigma) global columns group g keeps per block;
@@ -286,10 +286,9 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     cols = [picked[g][r] for g, r in map(slots.__getitem__, winners)]
 
     out = BlockVector.zeros(st)
-    kept = np.concatenate(cols)
+    kept = np.concatenate(cols)  # ascending: winners are, and so is each row
     out.coeffs[kept] = x.coeffs[kept]
-    entries = {i: tuple((c - st.offset(i)).tolist()) for i, c in zip(winners, cols)}
-    return out, HiSupport._canonical(entries)
+    return out, HiSupport._of_sorted(st, kept, [i for i in winners if not k.sigma[i]])
 
 
 def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:

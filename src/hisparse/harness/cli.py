@@ -14,7 +14,6 @@ their records, or a bound violation in theorem-verify).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .config import (
     SCENARIO_RECOVERY,
     SCENARIO_THEOREM,
     ExperimentConfig,
+    _dump_json,
     preset,
 )
 from .experiments import (
@@ -82,12 +82,6 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.master_seed = args.seed
     return cfg
-
-
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def main(argv=None) -> int:

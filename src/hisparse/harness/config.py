@@ -14,6 +14,13 @@ SCENARIO_THEOREM = "theorem-verify"
 SCENARIOS = (SCENARIO_RECOVERY, SCENARIO_DETECTION, SCENARIO_THEOREM)
 
 
+def _dump_json(obj, path) -> None:
+    """The writer of every harness JSON file: indent 2, sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo run.
@@ -102,9 +109,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -284,7 +284,7 @@ def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
     src = est.structure
     shift = structure.starts - src.starts
     out = BlockVector.zeros(structure)
-    out.coeffs[np.arange(src.total_dim) + shift.repeat(src.block_sizes)] = est.coeffs
+    out.coeffs[np.arange(src.total_dim) + shift[src.owner]] = est.coeffs
     return out
 
 

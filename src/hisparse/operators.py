@@ -130,19 +130,17 @@ class HierarchicalOperator:
         """The inner columns of the given sorted, in-range global columns
         (all of them when cols is None): the m x len(cols) stack of the
         columns B_b[:, c], and the block b owning each."""
+        st = self._structure
         if cols is None:
-            parts, counts = self.Bs, self._structure.block_sizes
-        else:
-            cols = np.asarray(cols, dtype=np.intp)
-            offsets = np.asarray(self._structure._offsets)
-            cuts = np.searchsorted(cols, offsets)  # block b holds cols[cuts[b]:cuts[b + 1]]
-            counts = np.diff(cuts)
-            local = cols - np.repeat(offsets[:-1], counts)
-            c = cuts.tolist()
-            parts = [self.Bs[b][:, local[c[b] : c[b + 1]]]
-                     for b in np.flatnonzero(counts).tolist()]
-            parts = parts or [np.empty((self.inner_rows, 0), dtype=np.complex128)]
-        return np.concatenate(parts, axis=1), np.repeat(np.arange(self.num_blocks), counts)
+            return np.concatenate(self.Bs, axis=1), st.owner
+        cols = np.asarray(cols, dtype=np.intp)
+        owner = st.owner[cols]
+        local = cols - st.starts[owner]
+        # cols[lo:hi] between consecutive cuts is one block's run
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), cols.size]
+        parts = [self.Bs[owner[lo]][:, local[lo:hi]] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        parts = parts or [np.empty((self.inner_rows, 0), dtype=np.complex128)]
+        return np.concatenate(parts, axis=1), owner
 
     def gram(self, cols=None) -> np.ndarray:
         """Gram matrix of the given sorted, in-range global columns (all

@@ -253,12 +253,10 @@ def hirip_constant_exact(H: HierarchicalOperator, k: HiSparsity) -> RipEstimate:
     _check_support_count(hierarchical_support_count(st, k))
     gram = _deviation_gram(H.total_dim, H.gram)
     delta, row, examined = _max_deviation(gram, _hierarchical_batches(st, k))
-    held = HiSupport.of_columns(st, row)
-    idle = [b for b, sig in enumerate(k.sigma) if sig == 0][: k.s - len(held.active_blocks)]
-    support = HiSupport(
-        held.active_blocks + tuple(idle), {**held.entries, **dict.fromkeys(idle, ())}
-    )
-    return RipEstimate(delta, examined, support)
+    # row is ascending: its blocks in order, each block's columns ascending
+    idle = [b for b, sig in enumerate(k.sigma) if sig == 0]
+    held = len(set(st.owner[row].tolist()))
+    return RipEstimate(delta, examined, HiSupport._of_sorted(st, row, idle[: k.s - held]))
 
 
 def hirip_bound(delta_a: float, delta_bs) -> float:

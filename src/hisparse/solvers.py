@@ -125,45 +125,42 @@ def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
 
 def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
     y = _measurements(H, y)
-    y_norm = float(np.linalg.norm(y))
-    x = BlockVector.zeros(H.structure)
-    r = y  # residual of x = 0
+    tol = cfg.residual_tol * float(np.linalg.norm(y))
     # the first gradient H^* y, also the right-hand side of every refit
     hy = H.adjoint_apply(y)
-    # every support refit so far -> (iteration, its columns, refit values,
-    # residual norm)
+    # every support refit so far, in refit order -> (iteration, its columns,
+    # refit values, residual norm)
     refits: dict[HiSupport, tuple[int, np.ndarray, np.ndarray, float]] = {}
-    supports: list[HiSupport] = []  # supports[t - 1] was refit at iteration t
+    # the iterate x is sol on cols, zero elsewhere; r = y - Hx
+    cols, sol, r = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128), y
+    stop = STOP_MAX_ITERS
     for t in range(1, cfg.max_iters + 1):
-        grad = H.adjoint_apply(r) if t > 1 else hy
-        u = BlockVector(H.structure, x.coeffs + grad.coeffs)
-        _, new_support = project(u)
-        seen = refits.get(new_support)
+        u = H.adjoint_apply(r) if t > 1 else hy
+        u.coeffs[cols] += sol  # u = x + H^*(y - Hx)
+        _, support = project(u)
+        seen = refits.get(support)
         if seen is not None:
             j = seen[0]
             if j == t - 1:
                 # the previous refit already solved this support
-                return SolverResult(x, new_support, t, residual, True, STOP_SUPPORT_REPEAT)
-            # A refit depends on its support alone, so iterations j .. t-1
-            # now repeat with period t - j until max_iters; return the state
-            # the loop would end in.
-            end = supports[j - 1 + (cfg.max_iters - j) % (t - j)]
-            _, cols, sol, res = refits[end]
-            return SolverResult(
-                _scatter(H, cols, sol), end, cfg.max_iters, res, False, STOP_MAX_ITERS
-            )
-        support = new_support
+                stop = STOP_SUPPORT_REPEAT
+            else:
+                # A refit depends on its support alone, so iterations j .. t-1
+                # now repeat with period t - j until max_iters; return the
+                # state the loop would end in.
+                support = list(refits)[j - 1 + (cfg.max_iters - j) % (t - j)]
+                t = cfg.max_iters
+            break
         cols, sol, rank_deficient = _restricted_lstsq(H, y, support, hy.coeffs)
-        x = _scatter(H, cols, sol)
-        r = y - H.apply(x)
+        r = y - H.apply(_scatter(H, cols, sol))
         residual = float(np.linalg.norm(r))
         refits[support] = (t, cols, sol, residual)
-        supports.append(support)
-        if rank_deficient:
-            return SolverResult(x, support, t, residual, False, STOP_LS_FAILURE)
-        if residual <= cfg.residual_tol * y_norm:
-            return SolverResult(x, support, t, residual, True, STOP_RESIDUAL)
-    return SolverResult(x, support, cfg.max_iters, residual, False, STOP_MAX_ITERS)
+        if rank_deficient or residual <= tol:
+            stop = STOP_LS_FAILURE if rank_deficient else STOP_RESIDUAL
+            break
+    _, cols, sol, residual = refits[support]
+    converged = stop in (STOP_SUPPORT_REPEAT, STOP_RESIDUAL)
+    return SolverResult(_scatter(H, cols, sol), support, t, residual, converged, stop)
 
 
 def hihtp(

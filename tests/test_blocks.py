@@ -26,6 +26,24 @@ class TestTypes:
         assert st.total_dim == 8
         assert st.block_slice(2) == slice(4, 8)
 
+    def test_starts_and_owner_match_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            st = BlockStructure(tuple(int(n) for n in rng.integers(1, 7, size=rng.integers(1, 8))))
+            starts, owner, pos = [], [], 0
+            for b, n in enumerate(st.block_sizes):
+                starts.append(pos)
+                owner += [b] * n
+                pos += n
+            assert st.starts.dtype == st.owner.dtype == np.intp
+            assert st.starts.tolist() == starts and st.owner.tolist() == owner
+            assert st.total_dim == pos and type(st.total_dim) is int
+            assert [st.offset(b) for b in range(st.num_blocks)] == starts
+            assert all(type(st.offset(b)) is int for b in range(st.num_blocks))
+            for arr in (st.starts, st.owner):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
+
     def test_structure_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             BlockStructure(())
@@ -155,6 +173,16 @@ class TestHiThreshold:
         k = HiSparsity(3, (3, 5, 2))
         out, _ = hi_threshold(x, k)
         np.testing.assert_array_equal(out.coeffs, x.coeffs)
+
+    def test_invalid_budget_raises_on_every_call(self):
+        # the budget check lives in a cached helper; lru_cache keeps no
+        # exceptions, so a repeated call must raise again
+        x = bv(BlockStructure((2, 2)), [1, 2], [3, 4])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sigma_1=3 exceeds block size 2"):
+                hi_threshold(x, HiSparsity(1, (1, 3)))
+            with pytest.raises(DimensionError, match="sparsity has 3 blocks"):
+                hi_threshold(x, HiSparsity(1, (1, 1, 1)))
 
     def test_matches_bruteforce_minimizer(self):
         rng = np.random.default_rng(11)

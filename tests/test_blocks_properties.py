@@ -15,7 +15,7 @@ from hisparse.blocks import (
     is_hi_sparse,
 )
 
-from oracles import hi_threshold_by_blocks
+from oracles import best_hi_approx_residual, hi_threshold_by_blocks
 
 # magnitudes drawn from a few levels make exact magnitude and score ties
 # common; a sigma of 9 or more crosses numpy's 8-term summation unroll
@@ -23,12 +23,12 @@ LEVELS = (0.0, 1.0, 2.0, 0.5)
 
 
 @st.composite
-def block_vectors(draw, max_blocks=8):
+def block_vectors(draw, max_blocks=8, lengths=(1, 2, 3, 5, 10, 12)):
     """A vector over mixed block lengths (repeats make groups of equal
     (n_i, sigma_i)), a budget with sigma_i in [0, n_i], and coefficients
     that are either generic or built from a few magnitudes and phases."""
     N = draw(st.integers(1, max_blocks))
-    sizes = tuple(draw(st.sampled_from((1, 2, 3, 5, 10, 12))) for _ in range(N))
+    sizes = tuple(draw(st.sampled_from(lengths)) for _ in range(N))
     sigma = tuple(draw(st.integers(0, n)) for n in sizes)
     s = draw(st.integers(1, N))
     total = sum(sizes)
@@ -49,6 +49,16 @@ def test_grouped_threshold_matches_block_loop(case):
     want_out, want_support = hi_threshold_by_blocks(x, k)
     assert out.coeffs.tobytes() == want_out.coeffs.tobytes()
     assert support == want_support
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(block_vectors(max_blocks=4, lengths=(1, 2, 3, 4, 5)))
+def test_threshold_is_best_approximation_on_mixed_blocks(case):
+    # optimality against the exhaustive oracle, over every support pattern
+    x, k = case
+    out, _ = hi_threshold(x, k)
+    res = np.linalg.norm(x.coeffs - out.coeffs)
+    assert abs(res - best_hi_approx_residual(x, k)) <= 1e-12 * (1.0 + np.linalg.norm(x.coeffs))
 
 
 def test_tied_scores_across_groups_keep_lower_blocks():
