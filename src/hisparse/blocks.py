@@ -96,7 +96,7 @@ class HiSparsity:
                 raise ValueError(f"sigma_{i}={sig} exceeds block size {n}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockVector:
     """A complex coefficient vector carrying its block structure.
 

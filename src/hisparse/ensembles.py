@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-# subsampled_dft caches one phase table per n only while the table holds at
-# most this many entries (16 MiB at complex128); larger n take the direct
-# formula.
-PHASE_TABLE_MAX_ENTRIES = 1 << 20
+# subsampled_dft caches the n x n DFT matrix only while it holds at most this
+# many entries (16 MiB at complex128); larger n evaluate the drawn rows.
+DFT_CACHE_MAX_ENTRIES = 1 << 20
 
 
 def zigzag(v: int) -> int:
@@ -68,17 +67,17 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
     return mat
 
 
-def _dft_phases(products: np.ndarray, n: int) -> np.ndarray:
-    """exp(-2*pi*i*p/n) for every integer p in `products`."""
-    return np.exp(products * (-2j * np.pi / n))
+def _dft_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The given rows of the unscaled n x n DFT: exp(-2*pi*i*r*k/n)."""
+    return np.exp(np.outer(rows, np.arange(n)) * (-2j * np.pi / n))
 
 
 @functools.lru_cache(maxsize=4)
-def _dft_phase_table(n: int) -> np.ndarray:
-    """Read-only _dft_phases of every product 0..(n-1)^2."""
-    table = _dft_phases(np.arange((n - 1) ** 2 + 1), n)
-    table.flags.writeable = False
-    return table
+def _dft_matrix(n: int) -> np.ndarray:
+    """The read-only unscaled n x n DFT matrix."""
+    F = _dft_rows(np.arange(n), n)
+    F.flags.writeable = False
+    return F
 
 
 def subsampled_dft(m: int, n: int, seed) -> np.ndarray:
@@ -88,25 +87,19 @@ def subsampled_dft(m: int, n: int, seed) -> np.ndarray:
     order; entry (r, k) is exp(-2*pi*i*row_r*k/n)/sqrt(m), so every column
     has unit 2-norm.
 
-    Entries are looked up by the integer product row_r*k in a table of
-    exp(-2*pi*i*p/n) for p = 0..(n-1)^2.  Each table entry is exp of the
-    same float phase p*(-2*pi*i/n) the direct formula evaluates, so the
-    matrix is bit-identical to it.  The table is cached for the last few n
-    and costs 16*((n-1)^2 + 1) bytes per cached n (625 KiB at n = 200);
-    when it would exceed PHASE_TABLE_MAX_ENTRIES the formula is evaluated
-    directly instead.
+    A draw copies its rows from the unscaled DFT matrix, which is cached
+    for the last few n and costs 16*n^2 bytes per cached n (625 KiB at
+    n = 200).  Past DFT_CACHE_MAX_ENTRIES entries (n > 1024) only the drawn
+    rows are evaluated.  Both evaluate exp of the same float phase
+    row_r*k*(-2*pi*i/n), so they are bit-identical.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = as_rng(seed)
     rows = np.sort(rng.choice(n, size=m, replace=False))
-    products = np.outer(rows, np.arange(n))
-    if (n - 1) ** 2 + 1 <= PHASE_TABLE_MAX_ENTRIES:
-        phases = _dft_phase_table(n)[products]
-    else:
-        phases = _dft_phases(products, n)
-    phases /= math.sqrt(m)
-    return phases
+    F = _dft_matrix(n)[rows] if n * n <= DFT_CACHE_MAX_ENTRIES else _dft_rows(rows, n)
+    F /= math.sqrt(m)
+    return F
 
 
 def restrict_columns(B: np.ndarray, keep) -> np.ndarray:

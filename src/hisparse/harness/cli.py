@@ -3,7 +3,7 @@
     hisparse recovery-grid    [--config cfg.json | --paper-scale] [--seed N]
                               [--out DIR] [--threads T]
     hisparse block-detection  (same flags)
-    hisparse theorem-verify   (same flags)
+    hisparse theorem-verify   (same flags except --paper-scale)
 
 recovery-grid and block-detection write trials.csv and summary.json into
 the output directory; theorem-verify writes report.json.  The exit code is
@@ -54,8 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", type=Path, default=None,
                             help="JSON config mirroring ExperimentConfig")
-        source.add_argument("--paper-scale", action="store_true",
-                            help="use the full-size experiment dimensions")
+        p.set_defaults(paper_scale=False)  # theorem-verify has only the desk preset
+        if name != SCENARIO_THEOREM:
+            source.add_argument("--paper-scale", action="store_true",
+                                help="use the full-size experiment dimensions")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--out", type=Path, default=None,

@@ -198,6 +198,7 @@ def desk_theorem_verify(instances: int = 200) -> ExperimentConfig:
 
 
 def preset(scenario: str, paper_scale: bool = False) -> ExperimentConfig:
+    """The desk (or paper_scale) preset; theorem-verify has only a desk one."""
     if scenario == SCENARIO_RECOVERY:
         return paper_recovery_grid() if paper_scale else desk_recovery_grid()
     if scenario == SCENARIO_DETECTION:

@@ -52,8 +52,6 @@ def generate_signal(
     for i in active:
         i = int(i)
         sig = k.sigma[i]
-        if sig == 0:
-            continue
         domain = structure.block_sizes[i]
         if designated is not None and i in designated:
             domain = min(domain, front_width)

@@ -32,13 +32,13 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(eq=False)
 class HierarchicalOperator:
     """The pair (A, {B_i}) with action H(x) = sum_i a_i kron (B_i x_i)."""
 
     A: np.ndarray
     Bs: tuple[np.ndarray, ...]
-    _structure: BlockStructure = field(init=False, repr=False, compare=False)
+    _structure: BlockStructure = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = _as_matrix(self.A)

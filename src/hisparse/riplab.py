@@ -192,15 +192,19 @@ def _check_support_count(count: int) -> None:
 def rip_constant_exact(B: np.ndarray, order: int) -> RipEstimate:
     """Exact S-RIP constant by enumerating all C(cols, S) column subsets.
 
-    At most DEFAULT_SUPPORT_BUDGET supports are enumerated, and the Gram
-    matrix B^* B is formed once, with (cols + 1)^2 entries that must fit
+    delta_0 = 0, because only the zero vector is 0-sparse: order 0 returns
+    RipEstimate(0.0, 1, ()) without forming a Gram matrix.  At most
+    DEFAULT_SUPPORT_BUDGET supports are enumerated, and the Gram matrix
+    B^* B is formed once, with (cols + 1)^2 entries that must fit
     GRAM_ENTRY_BUDGET (BudgetError otherwise, before it is allocated).
     Orders >= 2 within the support budget stay far below that; it refuses
     order-1 calls on 7,071 or more columns."""
     B = _as_matrix(B)
     cols = B.shape[1]
-    if not 1 <= order <= cols:
-        raise ValueError(f"need 1 <= order <= {cols}, got {order}")
+    if not 0 <= order <= cols:
+        raise ValueError(f"need 0 <= order <= {cols}, got {order}")
+    if order == 0:
+        return RipEstimate(0.0, 1, ())
     _check_support_count(math.comb(cols, order))
     gram = _deviation_gram(cols, lambda: B.conj().T @ B)
     delta, row, examined = _max_deviation(gram, [_combinations(cols, order)])
@@ -288,17 +292,14 @@ def column_necessity_check(
     For each block i, the sigma_i-RIP constant of ||a_i|| * B_i must not
     exceed the hierarchical constant of H: a vector supported on a single
     block is (s, sigma)-sparse, so the restricted isometry of H already
-    constrains each weighted B_i.  Blocks with sigma_i = 0 are vacuous and
-    reported with a zero constant.
+    constrains each weighted B_i.  Blocks with sigma_i = 0 are vacuous:
+    their constant is delta_0 = 0.
     """
     hi = hirip_constant_exact(H, k)
     per_block = []
     for i in range(H.num_blocks):
         a_norm = float(np.linalg.norm(H.A[:, i]))
-        if k.sigma[i] == 0:
-            delta_i = 0.0
-        else:
-            delta_i = rip_constant_exact(a_norm * H.Bs[i], k.sigma[i]).delta
+        delta_i = rip_constant_exact(a_norm * H.Bs[i], k.sigma[i]).delta
         per_block.append(
             {
                 "block": i,
@@ -361,9 +362,9 @@ def prop1_check(
     # one array N times
     delta_bs = {}
     for B, sig in zip(H.Bs, k.sigma):
-        if sig > 0 and (id(B), sig) not in delta_bs:
+        if (id(B), sig) not in delta_bs:
             delta_bs[id(B), sig] = rip_constant_exact(B, sig).delta
-    delta_b = max(delta_bs.values(), default=0.0)
+    delta_b = max(delta_bs.values())
     delta_a = rip_constant_exact(H.A, k.s).delta
     denom = 1.0 - delta_b - epsilon
     report = {
@@ -404,16 +405,6 @@ def lemma1_check(A: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> dict:
     nuclear = nuclear_norm_hermitian(X)
     inner = np.vdot(A.conj().T @ A, X)
     deviation = float(abs(inner - nuclear))
-    if s == 0:
-        return {
-            "pattern_size": 0,
-            "delta": 0.0,
-            "inner_product": 0.0,
-            "nuclear_norm": 0.0,
-            "deviation": deviation,
-            "tolerance": tol,
-            "passed": deviation <= tol,
-        }
     delta = rip_constant_exact(A, s).delta
     return {
         "pattern_size": s,

@@ -45,7 +45,7 @@ class SolverConfig:
             raise ValueError("residual_tol must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverResult:
     estimate: BlockVector
     support: HiSupport

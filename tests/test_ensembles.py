@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hisparse.ensembles import (
-    PHASE_TABLE_MAX_ENTRIES,
+    DFT_CACHE_MAX_ENTRIES,
     as_rng,
     gaussian_matrix,
     restrict_columns,
@@ -94,16 +94,16 @@ class TestSubsampledDft:
         with pytest.raises(ValueError):
             subsampled_dft(9, 8, 0)
 
-    # n = 1030 needs a table of 1029^2 + 1 entries, past the cap
+    # n = 1030 needs a matrix of 1030^2 entries, past the cap
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (5, 12), (50, 200), (7, 333), (3, 1030)])
     def test_bit_equal_to_direct_formula(self, m, n):
-        assert ((n - 1) ** 2 + 1 > PHASE_TABLE_MAX_ENTRIES) == (n == 1030)
+        assert (n * n > DFT_CACHE_MAX_ENTRIES) == (n == 1030)
         for seed in range(10):
             rows = np.sort(as_rng(seed).choice(n, size=m, replace=False))
             want = np.exp(np.outer(rows, np.arange(n)) * (-2j * np.pi / n)) / math.sqrt(m)
             F = subsampled_dft(m, n, seed)
             assert F.dtype == want.dtype and F.tobytes() == want.tobytes()
-            F[:] = 0  # a draw is the caller's own array, not a view of the table
+            F[:] = 0  # a draw is the caller's own array, not a view of the cache
             assert subsampled_dft(m, n, seed).tobytes() == want.tobytes()
 
 

@@ -32,6 +32,7 @@ from hisparse.harness.signals import (
     mse,
     noise_floor,
 )
+from hisparse.ensembles import complex_gaussian
 from hisparse.errors import BudgetError, DimensionError
 
 
@@ -132,6 +133,28 @@ class TestGenerateSignal:
         a = generate_signal(st, k, 5)
         b = generate_signal(st, k, 5)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("placement", ["uniform", "front-loaded"])
+    def test_zero_budget_active_blocks(self, placement):
+        # an active block with sigma_i = 0 stays zero and takes nothing from
+        # the stream: the draw equals the loop that skips such blocks
+        st = BlockStructure((6, 9, 4, 7, 5))
+        k = HiSparsity(3, (0, 2, 0, 3, 1))
+        zero_active = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            want = BlockVector.zeros(st)
+            for i in np.sort(rng.choice(5, size=3, replace=False)):
+                sig = k.sigma[i]
+                zero_active += sig == 0
+                if sig == 0:
+                    continue
+                domain = st.block_sizes[i] if placement == "uniform" else min(st.block_sizes[i], 4)
+                pos = np.sort(rng.choice(domain, size=sig, replace=False))
+                want.block(i)[pos] = complex_gaussian(rng, sig)
+            got = generate_signal(st, k, seed, placement=placement, front_width=4)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert zero_active > 0
 
     def test_unknown_placement(self):
         st = BlockStructure.uniform(2, 4)
@@ -569,3 +592,10 @@ class TestCli:
         assert err.value.code == 2  # argparse usage error
         assert "--paper-scale" in capsys.readouterr().err
         assert not (tmp_path / "trials.csv").exists()
+
+    def test_theorem_verify_has_no_paper_scale(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["theorem-verify", "--paper-scale", "--out", str(tmp_path)])
+        assert err.value.code == 2  # argparse usage error
+        assert "--paper-scale" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

@@ -17,6 +17,7 @@ from hisparse.riplab import (
     column_necessity_check,
     hierarchical_support_count,
     hirip_bound,
+    RipEstimate,
     hirip_constant_exact,
     lemma1_check,
     nuclear_norm_hermitian,
@@ -127,8 +128,16 @@ class TestFlatRip:
 
     def test_invalid_order(self):
         B = gaussian_matrix(4, 4, 9)
+        for order in (-1, 5):
+            with pytest.raises(ValueError):
+                rip_constant_exact(B, order)
+
+    def test_order_zero_is_zero(self):
+        # only the zero vector is 0-sparse, so delta_0 = 0 for any matrix
+        B = np.hstack([gaussian_matrix(4, 3, 9)] * 2)  # delta_2 = 1
+        assert rip_constant_exact(B, 0) == RipEstimate(0.0, 1, ())
         with pytest.raises(ValueError):
-            rip_constant_exact(B, 5)
+            rip_constant_exact(np.array([[1.0, np.nan]]), 0)
 
 
 class TestHiRip:
@@ -491,6 +500,21 @@ class TestColumnNecessity:
             assert rep["min_slack"] >= -1e-10
             assert rep["passed"]
 
+    def test_zero_budget_blocks_report_zero_constant(self):
+        rng = np.random.default_rng(38)
+        sizes = (3, 4, 3, 2)
+        H = HierarchicalOperator(*random_operator(rng, 3, 4, 4, sizes))
+        k = HiSparsity(2, (0, 2, 1, 0))
+        rep = column_necessity_check(H, k)
+        assert rep["delta_hirip"] == hirip_constant_exact(H, k).delta
+        for row, sig in zip(rep["per_block"], k.sigma):
+            if sig == 0:
+                assert row["delta_weighted"] == 0.0
+                assert row["slack"] == rep["delta_hirip"]
+            else:
+                B = row["column_norm"] * H.Bs[row["block"]]
+                assert row["delta_weighted"] == rip_constant_exact(B, sig).delta
+
 
 class TestProp1:
     def test_shared_unitary_block_reduces_to_hirip(self):
@@ -567,6 +591,35 @@ class TestProp1:
         assert calls == [((4, 3), 1), ((5, 6), 2)]
         assert rep["delta_b_max"] == rip_constant_exact(B, 1).delta
 
+    def test_zero_budget_blocks_outside_active_set(self):
+        # the sigma_i = 0 blocks repeat a column (delta_2 = 1) but contribute
+        # delta_0 = 0; delta_b_max comes from the scaled block 4 (0.21)
+        U = unitary(6, 39)[:, :3]
+        bad = np.hstack([U[:, :1], U[:, :2]])
+        Bs = (U, bad, U, bad, 1.1 * unitary(6, 40)[:, :3])
+        H = HierarchicalOperator(gaussian_matrix(8, 5, 42), Bs)
+        k = HiSparsity(2, (1, 0, 2, 0, 1))
+        g0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        g2 = np.array([0.8, 0.6j, 0.0], dtype=complex)
+        rep = prop1_check(H, k, (0, 2), {0: g0, 2: g2})
+        epsilon = float(np.linalg.norm(Bs[0] @ g0 - Bs[2] @ g2))
+        delta_h = hirip_constant_exact(H, k).delta
+        delta_b = max(rip_constant_exact(B, sig).delta for B, sig in zip(Bs, k.sigma) if sig)
+        delta_a = rip_constant_exact(H.A, 2).delta
+        denom = 1.0 - delta_b - epsilon
+        assert denom > 0.0
+        assert rep == {
+            "epsilon": epsilon,
+            "delta_hirip": delta_h,
+            "delta_b_max": delta_b,
+            "delta_a": delta_a,
+            "denominator": denom,
+            "tolerance": 1e-9,
+            "status": "checked",
+            "bound": delta_h / denom**2,
+            "passed": delta_a <= delta_h / denom**2 + 1e-9,
+        }
+
     def test_validates_probes(self):
         H = kronecker_operator(np.eye(2), np.eye(3))
         k = HiSparsity.uniform(1, 1, 2)
@@ -628,8 +681,18 @@ class TestLemma1:
     def test_zero_matrix(self):
         A = gaussian_matrix(3, 3, 36)
         rep = lemma1_check(A, np.zeros((3, 3)))
-        assert rep["pattern_size"] == 0
-        assert rep["passed"]
+        want = {
+            "pattern_size": 0,
+            "delta": 0.0,
+            "inner_product": 0.0,
+            "nuclear_norm": 0.0,
+            "deviation": 0.0,
+            "tolerance": 1e-9,
+            "passed": True,
+        }
+        assert rep == want
+        assert {key: type(v) for key, v in rep.items()} == {key: type(v) for key, v in want.items()}
+        assert all(math.copysign(1.0, v) == 1.0 for v in rep.values() if type(v) is float)
 
     def test_non_hermitian_rejected(self):
         A = gaussian_matrix(3, 3, 37)
