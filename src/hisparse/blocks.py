@@ -64,6 +64,16 @@ class BlockStructure:
         lo = self.starts.item(i)
         return slice(lo, lo + self.block_sizes[i])
 
+    def runs(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Split the ascending, in-range global coordinates cols (an intp
+        array) by block: the owner block and the local index of each, and
+        the (lo, hi) bounds of the nonempty runs cols[lo:hi], one per block
+        holding any of them, in order."""
+        owner = self.owner[cols]
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), cols.size]
+        runs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        return owner, cols - self.starts[owner], runs
+
 
 @dataclass(frozen=True)
 class HiSparsity:
@@ -168,11 +178,9 @@ class HiSupport:
         coordinates cols (an intp array), plus the blocks in idle, which
         hold none of them, as active blocks with no coordinates.  Built
         canonical, skipping the sorting and conversion of __post_init__."""
-        owner = structure.owner[cols]
-        blocks, local = owner.tolist(), (cols - structure.starts[owner]).tolist()
-        # cols[lo:hi] between consecutive cuts is one block's run
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(local)]
-        entries = {blocks[lo]: tuple(local[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi}
+        owner, local, runs = structure.runs(cols)
+        blocks, local = owner.tolist(), local.tolist()
+        entries = {blocks[lo]: tuple(local[lo:hi]) for lo, hi in runs}
         if idle:
             entries = {b: entries.get(b, ()) for b in sorted(entries.keys() | set(idle))}
         support = object.__new__(cls)

@@ -43,11 +43,9 @@ class ExperimentConfig:
     master_seed: int = 20240601
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_path: str | None = None
-    # block-detection extras: which blocks have short delay spreads and how
-    # short; None designates the first N//2 blocks, otherwise distinct
-    # indices in [0, N), kept sorted.
+    # block-detection: the first N // 2 blocks are short-delay users whose
+    # energy lies in their first front_width coordinates
     front_width: int = 10
-    short_blocks: tuple[int, ...] | None = None
     # wall_millis is zeroed in trials.csv unless this is set, keeping two
     # identical runs byte-identical.
     measured_timing: bool = False
@@ -68,12 +66,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if min(self.M) < 1 or self.N < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")
-        if self.short_blocks is not None:
-            short = self.short_blocks = tuple(sorted(int(b) for b in self.short_blocks))
-            if len(set(short)) != len(short):
-                raise ValueError(f"short_blocks repeats an index: {short}")
-            if any(not 0 <= b < self.N for b in short):
-                raise ValueError(f"short_blocks must lie in [0, N = {self.N}): {short}")
 
     def block_sizes(self) -> tuple[int, ...]:
         if isinstance(self.block_lengths, int):
@@ -81,11 +73,6 @@ class ExperimentConfig:
         if len(self.block_lengths) != self.N:
             raise ValueError("explicit block_lengths must have N entries")
         return self.block_lengths
-
-    def designated_short_blocks(self) -> tuple[int, ...]:
-        if self.short_blocks is not None:
-            return self.short_blocks
-        return tuple(range(self.N // 2))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -198,11 +185,14 @@ def desk_theorem_verify(instances: int = 200) -> ExperimentConfig:
 
 
 def preset(scenario: str, paper_scale: bool = False) -> ExperimentConfig:
-    """The desk (or paper_scale) preset; theorem-verify has only a desk one."""
+    """The desk (or paper_scale) preset.  theorem-verify has only a desk
+    one, so asking for its paper-scale preset raises ValueError."""
     if scenario == SCENARIO_RECOVERY:
         return paper_recovery_grid() if paper_scale else desk_recovery_grid()
     if scenario == SCENARIO_DETECTION:
         return paper_block_detection() if paper_scale else desk_block_detection()
     if scenario == SCENARIO_THEOREM:
+        if paper_scale:
+            raise ValueError("theorem-verify has no paper-scale preset")
         return desk_theorem_verify()
     raise ValueError(f"unknown scenario {scenario!r}")

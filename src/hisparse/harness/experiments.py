@@ -49,7 +49,6 @@ from .config import (
     ExperimentConfig,
 )
 from .signals import (
-    PLACEMENT_FRONT,
     add_noise,
     detection_rate,
     generate_signal,
@@ -175,24 +174,26 @@ def _run_pool(worker, args_list, threads: int) -> list:
 
 
 def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: float,
-             **placement):
-    """Draw A and the B_i, plant a k-sparse signal (placed per `placement`,
-    see generate_signal), measure it and add noise at snr_db; each draw
-    comes from its own stream under `ids`.
+             prior: BlockStructure):
+    """Draw A and the B_i, plant a k-sparse signal, measure it and add
+    noise at snr_db; each draw comes from its own stream under `ids`.
+
+    The signal is drawn in `prior`, the structure of the window each block
+    is known to hold its energy in (its first prior.block_sizes[i]
+    coordinates), and zero-padded to the full blocks.
 
     Returns the operator, the noisy measurements and what every solve of
     the trial is scored against: (signal, noise floor, active blocks).
     """
     seed = cfg.master_seed
-    sizes = cfg.block_sizes()
     A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
     Bs = tuple(
         subsampled_dft(cfg.m, n, spawn_seedseq(seed, *ids, _ROLE_B, i))
-        for i, n in enumerate(sizes)
+        for i, n in enumerate(cfg.block_sizes())
     )
     H = HierarchicalOperator(A, Bs)
-    x_true = generate_signal(
-        BlockStructure(sizes), k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL), **placement
+    x_true = _embed_into(
+        generate_signal(prior, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL)), H.structure
     )
     y_clean = H.apply(x_true)
     y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
@@ -204,20 +205,29 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
     return H, y, truth
 
 
+def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
+    """Zero-pad each block of est to the length of the same block of
+    `structure`, which is at least as long."""
+    src = est.structure
+    shift = structure.starts - src.starts
+    out = BlockVector.zeros(structure)
+    out.coeffs[np.arange(src.total_dim) + shift[src.owner]] = est.coeffs
+    return out
+
+
 def _solve(cfg: ExperimentConfig, H, y, k: HiSparsity, truth, mode: str,
            **cell) -> TrialRecord:
     """One timed hihtp solve, scored against `truth` from _measure.
 
-    A mixed-mode estimate is zero-padded to the signal's blocks first.
-    `cell` holds the record fields the trial fixes: scenario, s, sigma, M,
+    The estimate is zero-padded to the signal's blocks first.  `cell`
+    holds the record fields the trial fixes: scenario, s, sigma, M,
     snr_db, trial and seed.
     """
     x_true, floor, true_active = truth
     t0 = time.perf_counter()
     res = hihtp(H, y, k, cfg.solver)
     wall = (time.perf_counter() - t0) * 1e3
-    est = res.estimate if mode == MODE_UNIFORM else _embed_into(res.estimate, x_true.structure)
-    err = mse(x_true, est)
+    err = mse(x_true, _embed_into(res.estimate, x_true.structure))
     return TrialRecord(
         **cell, N=cfg.N, m=cfg.m, mode=mode, mse=err, success=err <= floor,
         detection_rate=detection_rate(true_active, res.support.active_blocks, k.s),
@@ -233,7 +243,7 @@ def _recovery_trial(args) -> TrialRecord:
     M = cfg.M[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_RECOVERY, s, sigma, _snr_key(snr_db), trial)
-    H, y, truth = _measure(cfg, ids, M, k, snr_db)
+    H, y, truth = _measure(cfg, ids, M, k, snr_db, BlockStructure(cfg.block_sizes()))
     return _solve(
         cfg, H, y, k, truth, MODE_UNIFORM, scenario=SCENARIO_RECOVERY, s=s,
         sigma=sigma, M=M, snr_db=snr_db, trial=trial,
@@ -279,29 +289,37 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
 # --------------------------------------------------------------- detection
 
 
-def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
-    """Zero-pad each block of a shorter-block estimate into `structure`."""
-    src = est.structure
-    shift = structure.starts - src.starts
-    out = BlockVector.zeros(structure)
-    out.coeffs[np.arange(src.total_dim) + shift[src.owner]] = est.coeffs
-    return out
+def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
+    """The short-delay prior as a block structure of window lengths:
+    front_width for the first N // 2 blocks, the full n_i for the rest.
+
+    ValueError when front_width exceeds one of those first blocks, or
+    when sigma exceeds a window (checked for every block, so a bad
+    configuration fails before any trial runs)."""
+    n = cfg.block_sizes()
+    short = n[: cfg.N // 2]
+    if short and cfg.front_width > min(short):
+        raise ValueError(
+            f"front_width {cfg.front_width} exceeds the shortest short block "
+            f"({min(short)} columns)"
+        )
+    prior = BlockStructure((cfg.front_width,) * len(short) + n[len(short):])
+    HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N).validate_for(prior)
+    return prior
 
 
 def _detection_trial(args) -> list[TrialRecord]:
-    cfg, M, snr_db, trial = args
+    cfg, prior, M, snr_db, trial = args
     s, sigma = cfg.s_values[0], cfg.sigma_values[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
-    short = cfg.designated_short_blocks()
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
-    H, y, truth = _measure(
-        cfg, ids, M, k, snr_db,
-        placement=PLACEMENT_FRONT, front_width=cfg.front_width, front_blocks=short,
-    )
-    # same measurements solved twice: without and with the short-block prior
+    H, y, truth = _measure(cfg, ids, M, k, snr_db, prior)
+    # same measurements solved twice: without and with the prior, whose
+    # operator keeps each B_i's first prior.block_sizes[i] columns (a block
+    # whose window is all of it keeps B_i itself, uncopied)
     H_mixed = H._with_blocks(
-        restrict_columns(B, range(cfg.front_width)) if i in short else B
-        for i, B in enumerate(H.Bs)
+        B if w == B.shape[1] else restrict_columns(B, range(w))
+        for B, w in zip(H.Bs, prior.block_sizes)
     )
     cell = dict(
         scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
@@ -317,29 +335,19 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     """Active-block detection sweep over (M, snr); returns
     (records, summary, skipped).
 
-    Each trial plants one front-loaded signal, measures it once, and solves
-    twice: with uniform block lengths and with the designated blocks
-    restricted to their first front_width columns.  Both runs share A, the
-    B_i and the noise, so the two modes are directly comparable.
+    The short-delay prior (see _detection_prior) is built and validated
+    once.  Each trial plants one signal inside it, measures it once, and
+    solves twice: with uniform block lengths and with every block cut to
+    its window.  Both runs share A, the B_i and the noise, so the two
+    modes are directly comparable.
     """
     if cfg.scenario != SCENARIO_DETECTION:
         raise ValueError("config is not a block-detection config")
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
-    s, sigma = cfg.s_values[0], cfg.sigma_values[0]
-    n = cfg.block_sizes()
-    if s > cfg.N or sigma > min(n):
-        raise ValueError("infeasible sparsity for the configured blocks")
-    if cfg.front_width < sigma:
-        raise ValueError("front_width must be at least sigma")
-    narrowest = min((n[i] for i in cfg.designated_short_blocks()), default=cfg.front_width)
-    if cfg.front_width > narrowest:
-        raise ValueError(
-            f"front_width {cfg.front_width} exceeds the shortest designated "
-            f"short block ({narrowest} columns)"
-        )
+    prior = _detection_prior(cfg)
     args = [
-        (cfg, M, snr, trial)
+        (cfg, prior, M, snr, trial)
         for M in cfg.M
         for snr in cfg.snr_db
         for trial in range(cfg.trials)

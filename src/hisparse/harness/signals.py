@@ -10,52 +10,24 @@ from ..blocks import BlockStructure, BlockVector, HiSparsity
 from ..ensembles import as_rng, complex_gaussian
 from ..errors import DimensionError
 
-PLACEMENT_UNIFORM = "uniform"
-PLACEMENT_FRONT = "front-loaded"
 
-
-def generate_signal(
-    structure: BlockStructure,
-    k: HiSparsity,
-    seed,
-    placement: str = PLACEMENT_UNIFORM,
-    front_width: int = 10,
-    front_blocks=None,
-) -> BlockVector:
-    """Plant a random (s, sigma)-sparse signal.
+def generate_signal(structure: BlockStructure, k: HiSparsity, seed) -> BlockVector:
+    """Plant a random (s, sigma)-sparse signal in `structure`.
 
     s active blocks are chosen uniformly; inside each, sigma_i positions
     are chosen uniformly and filled with i.i.d. standard complex Gaussian
-    values.  In front-loaded placement the designated blocks (front_blocks,
-    default all) draw their positions from the first front_width
-    coordinates only, modelling short delay spreads.
+    values.  A prior that confines each block to a window of its first
+    coordinates is the structure of the window lengths: the block
+    detection draws its signal there and zero-pads it to the full blocks.
     """
     k.validate_for(structure)
-    if placement not in (PLACEMENT_UNIFORM, PLACEMENT_FRONT):
-        raise ValueError(f"unknown placement {placement!r}")
-    designated = None
-    if placement == PLACEMENT_FRONT:
-        designated = (
-            set(range(structure.num_blocks)) if front_blocks is None
-            else {int(b) for b in front_blocks}
-        )
-        # every designated block is checked, not only the ones the draw
-        # activates, so a bad configuration fails for every seed
-        for i, sig in enumerate(k.sigma):
-            if i in designated and front_width < sig:
-                raise ValueError(
-                    f"front window {front_width} is smaller than sigma_{i}={sig}"
-                )
     rng = as_rng(seed)
     active = np.sort(rng.choice(structure.num_blocks, size=k.s, replace=False))
     x = BlockVector.zeros(structure)
     for i in active:
         i = int(i)
         sig = k.sigma[i]
-        domain = structure.block_sizes[i]
-        if designated is not None and i in designated:
-            domain = min(domain, front_width)
-        pos = np.sort(rng.choice(domain, size=sig, replace=False))
+        pos = np.sort(rng.choice(structure.block_sizes[i], size=sig, replace=False))
         x.block(i)[pos] = complex_gaussian(rng, sig)
     return x
 

@@ -133,12 +133,8 @@ class HierarchicalOperator:
         st = self._structure
         if cols is None:
             return np.concatenate(self.Bs, axis=1), st.owner
-        cols = np.asarray(cols, dtype=np.intp)
-        owner = st.owner[cols]
-        local = cols - st.starts[owner]
-        # cols[lo:hi] between consecutive cuts is one block's run
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), cols.size]
-        parts = [self.Bs[owner[lo]][:, local[lo:hi]] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        owner, local, runs = st.runs(np.asarray(cols, dtype=np.intp))
+        parts = [self.Bs[owner[lo]][:, local[lo:hi]] for lo, hi in runs]
         parts = parts or [np.empty((self.inner_rows, 0), dtype=np.complex128)]
         return np.concatenate(parts, axis=1), owner
 

@@ -124,6 +124,8 @@ def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
 
 
 def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
+    """The pursuit loop; project(u) returns the support of the next refit
+    for the gradient-updated iterate u."""
     y = _measurements(H, y)
     tol = cfg.residual_tol * float(np.linalg.norm(y))
     # the first gradient H^* y, also the right-hand side of every refit
@@ -137,7 +139,7 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
     for t in range(1, cfg.max_iters + 1):
         u = H.adjoint_apply(r) if t > 1 else hy
         u.coeffs[cols] += sol  # u = x + H^*(y - Hx)
-        _, support = project(u)
+        support = project(u)
         seen = refits.get(support)
         if seen is not None:
             j = seen[0]
@@ -186,7 +188,7 @@ def hihtp(
     "max-iters" and converged False, exactly as if every iteration ran.
     """
     k.validate_for(H.structure)
-    return _pursuit(H, y, lambda u: hi_threshold(u, k), cfg)
+    return _pursuit(H, y, lambda u: hi_threshold(u, k)[1], cfg)
 
 
 def htp_flat(
@@ -205,11 +207,7 @@ def htp_flat(
         raise ValueError(f"need 1 <= k_total <= {H.total_dim}, got {k_total}")
     st = H.structure
 
-    def project(u: BlockVector):
-        order = np.argsort(-np.abs(u.coeffs), kind="stable")
-        keep = np.sort(order[:k_total])
-        out = BlockVector.zeros(st)
-        out.coeffs[keep] = u.coeffs[keep]
-        return out, HiSupport.of_columns(st, keep)
+    def project(u: BlockVector) -> HiSupport:
+        return HiSupport.of_columns(st, np.argsort(-np.abs(u.coeffs), kind="stable")[:k_total])
 
     return _pursuit(H, y, project, cfg)

@@ -6,7 +6,8 @@ import hisparse
 from hisparse import BlockVector, HiSparsity, hihtp, kronecker_operator
 
 # deleted with no caller left in the package, the harness or the benchmark
-# ("operators.HierarchicalOperator" names a class inside a module)
+# (a key names a module under hisparse, or a class inside one, as in
+# "operators.HierarchicalOperator")
 REMOVED = {
     "operators": ("save_operator", "load_operator", "DENSE_ENTRY_BUDGET"),
     "operators.HierarchicalOperator": ("assemble_dense",),
@@ -14,17 +15,25 @@ REMOVED = {
     "solvers": ("least_squares_on_support",),
     "blocks": ("restrict",),
     "ensembles": ("PHASE_TABLE_MAX_ENTRIES", "_dft_phase_table"),
+    "harness.signals": ("PLACEMENT_UNIFORM", "PLACEMENT_FRONT"),
+    "harness.experiments": ("PLACEMENT_FRONT",),
+    "harness.config.ExperimentConfig": ("short_blocks", "designated_short_blocks"),
 }
+
+
+def _resolve(owner: str):
+    try:
+        return importlib.import_module(f"hisparse.{owner}")
+    except ModuleNotFoundError:
+        module, _, cls = owner.rpartition(".")
+        return getattr(importlib.import_module(f"hisparse.{module}"), cls)
 
 
 def test_public_names_resolve_and_removed_names_stay_gone():
     for name in hisparse.__all__:
         assert getattr(hisparse, name, None) is not None, name
     for owner, names in REMOVED.items():
-        module, _, attr = owner.partition(".")
-        obj = importlib.import_module(f"hisparse.{module}")
-        if attr:
-            obj = getattr(obj, attr)
+        obj = _resolve(owner)
         for name in names:
             assert not hasattr(hisparse, name), name
             assert not hasattr(obj, name), f"{owner}.{name}"

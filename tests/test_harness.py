@@ -84,48 +84,37 @@ class TestGenerateSignal:
             assert is_hi_sparse(generate_signal(st, k, seed), k)
 
     def test_front_loaded_window(self):
-        st = BlockStructure.uniform(4, 50)
-        k = HiSparsity.uniform(2, 3, 4)
-        for seed in range(300):
-            x = generate_signal(
-                st, k, seed, placement="front-loaded", front_width=10
-            )
-            for i in range(4):
+        # _measure plants the detection signal inside the prior: the first
+        # N // 2 blocks hold it in their first front_width coordinates only,
+        # and the other blocks reach past them
+        cfg = tiny_detection_config()
+        prior = experiments._detection_prior(cfg)
+        k = HiSparsity.uniform(2, 2, cfg.N)
+        reached = False
+        for trial in range(40):
+            _, _, (x, _, _) = experiments._measure(cfg, (2, 4, 0, trial), 4, k, 10.0, prior)
+            for i in range(cfg.N):
                 nz = np.flatnonzero(x.block(i))
-                assert nz.size == 0 or nz.max() < 10
-
-    def test_front_loaded_only_designated(self):
-        st = BlockStructure.uniform(2, 30)
-        k = HiSparsity.uniform(2, 4, 2)
-        saw_outside = False
-        for seed in range(50):
-            x = generate_signal(
-                st, k, seed, placement="front-loaded", front_width=5, front_blocks=(0,)
-            )
-            nz0 = np.flatnonzero(x.block(0))
-            assert nz0.max() < 5
-            if np.flatnonzero(x.block(1)).max() >= 5:
-                saw_outside = True
-        assert saw_outside
+                if i < cfg.N // 2:
+                    assert nz.size == 0 or nz.max() < cfg.front_width
+                else:
+                    reached |= nz.size > 0 and nz.max() >= cfg.front_width
+        assert reached
 
     def test_window_too_small(self):
-        st = BlockStructure.uniform(2, 30)
+        st = BlockStructure.uniform(2, 3)
         with pytest.raises(ValueError):
-            generate_signal(
-                st, HiSparsity.uniform(2, 4, 2), 0,
-                placement="front-loaded", front_width=3,
-            )
+            generate_signal(st, HiSparsity.uniform(2, 4, 2), 0)
 
     def test_window_too_small_fails_for_every_seed(self):
-        # one active block of ten, and only block 7 is designated: the draw
-        # rarely activates it, so the check must not wait for the draw
-        st = BlockStructure.uniform(10, 30)
+        # one active block of ten, and only block 7's window is narrower
+        # than its budget: the draw rarely activates it, so the check must
+        # not wait for the draw
+        st = BlockStructure((30,) * 7 + (3,) + (30,) * 2)
         k = HiSparsity(1, (2,) * 7 + (4,) + (2,) * 2)
         for seed in range(100):
             with pytest.raises(ValueError, match="sigma_7=4"):
-                generate_signal(
-                    st, k, seed, placement="front-loaded", front_width=3, front_blocks=(7,)
-                )
+                generate_signal(st, k, seed)
 
     def test_deterministic(self):
         st = BlockStructure.uniform(4, 8)
@@ -136,30 +125,36 @@ class TestGenerateSignal:
 
     @pytest.mark.parametrize("placement", ["uniform", "front-loaded"])
     def test_zero_budget_active_blocks(self, placement):
-        # an active block with sigma_i = 0 stays zero and takes nothing from
-        # the stream: the draw equals the loop that skips such blocks
+        # The detection signal is drawn in the prior's windows and
+        # zero-padded.  It equals, byte for byte, the loop that draws each
+        # active block's positions from its first front_width coordinates
+        # when it is one of the first N // 2 blocks (front-loaded) or from
+        # all of them (uniform); an active block with sigma_i = 0 stays
+        # zero and takes nothing from the stream.
+        N, front_width = 5, 4
         st = BlockStructure((6, 9, 4, 7, 5))
         k = HiSparsity(3, (0, 2, 0, 3, 1))
+        prior = st
+        if placement == "front-loaded":
+            cfg = tiny_detection_config(N=N, block_lengths=st.block_sizes,
+                                        front_width=front_width)
+            prior = experiments._detection_prior(cfg)
+            assert prior.block_sizes == (4, 4, 4, 7, 5)
         zero_active = 0
-        for seed in range(50):
+        for seed in range(60):
             rng = np.random.default_rng(seed)
             want = BlockVector.zeros(st)
-            for i in np.sort(rng.choice(5, size=3, replace=False)):
+            for i in np.sort(rng.choice(N, size=3, replace=False)):
                 sig = k.sigma[i]
                 zero_active += sig == 0
-                if sig == 0:
-                    continue
-                domain = st.block_sizes[i] if placement == "uniform" else min(st.block_sizes[i], 4)
+                domain = st.block_sizes[i]
+                if placement == "front-loaded" and i < N // 2:
+                    domain = min(domain, front_width)
                 pos = np.sort(rng.choice(domain, size=sig, replace=False))
                 want.block(i)[pos] = complex_gaussian(rng, sig)
-            got = generate_signal(st, k, seed, placement=placement, front_width=4)
+            got = experiments._embed_into(generate_signal(prior, k, seed), st)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
         assert zero_active > 0
-
-    def test_unknown_placement(self):
-        st = BlockStructure.uniform(2, 4)
-        with pytest.raises(ValueError):
-            generate_signal(st, HiSparsity.uniform(1, 1, 2), 0, placement="middle")
 
 
 class TestNoise:
@@ -345,9 +340,18 @@ class TestBlockDetection:
             for snr in cfg.snr_db:
                 assert rates[(M, snr, "uniform")] <= rates[(M, snr, "mixed")] + 0.25
 
-    def test_sigma_must_fit_front_window(self):
-        cfg = tiny_detection_config(front_width=1)
-        with pytest.raises(ValueError):
+    def test_sigma_must_fit_front_window(self, monkeypatch):
+        # refused before any trial runs, whichever blocks a draw activates
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_pool", no_trials)
+        with pytest.raises(ValueError, match="sigma_0=2"):
+            run_block_detection(tiny_detection_config(front_width=1))
+        # ten blocks of 30, windows of 3 on the first five, one active block
+        cfg = tiny_detection_config(N=10, block_lengths=30, s_values=(1,),
+                                    sigma_values=(4,), front_width=3)
+        with pytest.raises(ValueError, match="sigma_0=4"):
             run_block_detection(cfg)
 
     def test_front_window_must_fit_short_blocks(self):
@@ -468,19 +472,19 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         for cfg in (tiny_grid_config(snr_db=(10.0, math.inf)),
-                    tiny_detection_config(short_blocks=(4, 1))):
+                    tiny_detection_config(block_lengths=(16, 12, 16, 9, 16, 20))):
             cfg.to_json(path)
             back = ExperimentConfig.from_json(path)
             assert back == cfg
 
-    @pytest.mark.parametrize("short_blocks", [(7, -1, 9), (0, 6), (-1,), (2, 1, 2)])
-    def test_short_blocks_outside_blocks_or_repeated_rejected(self, short_blocks):
-        with pytest.raises(ValueError, match="short_blocks"):
-            tiny_detection_config(short_blocks=short_blocks)
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"scenario": "recovery-grid", "bogus": 1})
+        # the short blocks are always the first N // 2: a config file that
+        # still names them is refused rather than silently ignored
+        with pytest.raises(ValueError, match="short_blocks"):
+            ExperimentConfig.from_dict({**tiny_detection_config().to_dict(),
+                                        "short_blocks": [0, 1]})
 
     def test_removed_solver_keys_rejected(self):
         d = tiny_grid_config().to_dict()
@@ -494,12 +498,16 @@ class TestConfig:
     def test_presets_valid(self):
         for scenario in ("recovery-grid", "block-detection", "theorem-verify"):
             for paper in (False, True):
+                if scenario == "theorem-verify" and paper:
+                    with pytest.raises(ValueError, match="paper-scale"):
+                        preset(scenario, paper_scale=paper)
+                    continue
                 cfg = preset(scenario, paper_scale=paper)
                 assert cfg.scenario == scenario
 
     def test_short_blocks_default_first_half(self):
         cfg = tiny_detection_config()
-        assert cfg.designated_short_blocks() == (0, 1, 2)
+        assert experiments._detection_prior(cfg).block_sizes == (4, 4, 4, 16, 16, 16)
 
     def test_explicit_block_lengths(self):
         cfg = tiny_grid_config(block_lengths=(10, 10, 10, 10, 10, 12))

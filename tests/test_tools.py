@@ -1,0 +1,57 @@
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+TOOLS = Path(__file__).parents[1] / "tools"
+
+# stands in for perfbench/run.py: one report, then the exit status; the run
+# for seed FAIL_SEED fails its output checks
+STUB_RUN = textwrap.dedent("""
+    import json, sys
+    seed = int(sys.argv[sys.argv.index("--seed") + 1])
+    ok = seed != FAIL_SEED
+    print(json.dumps({"metrics": {"trials_per_s": {"value": 10.0 + seed}},
+                      "checks": {"ok": ok}}))
+    sys.exit(0 if ok else 1)
+""")
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(root: Path, fail_seed: int) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.replace("FAIL_SEED", str(fail_seed)))
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "trials_per_s", "better": "higher"}]}))
+    return root
+
+
+def _main(tmp_path, change_fails_on):
+    out = tmp_path / "bench.json"
+    code = _bench_pairs().main([
+        "--parent", str(_checkout(tmp_path / "parent", -1)),
+        "--change", str(_checkout(tmp_path / "change", change_fails_on)),
+        "--workload", "w", "--seeds", "1-2", "--out", str(out), "--seconds", "1",
+    ])
+    return code, json.loads(out.read_text())
+
+
+def test_bench_pairs_exits_zero_when_every_run_passes(tmp_path):
+    code, doc = _main(tmp_path, change_fails_on=-1)
+    assert code == 0
+    assert [p["change"]["exit_status"] for p in doc["pairs"]] == [0, 0]
+
+
+def test_bench_pairs_writes_the_file_then_fails_on_a_failed_run(tmp_path, capsys):
+    code, doc = _main(tmp_path, change_fails_on=2)
+    assert code == 1
+    assert doc["pairs"][1]["change"] == {
+        "metrics": {"trials_per_s": 12.0}, "checks": {"ok": False}, "exit_status": 1,
+    }
+    assert "seed 2 change" in capsys.readouterr().err

@@ -10,7 +10,9 @@ and the change first when i is odd, so drift in the host's load falls on
 both sides alike.  The output records every run's end-to-end metrics and
 output checks, per-side medians and quartiles, how many pairs the change
 won on each metric (direction from BENCHMARK.json) and the first run's
-full report, environment included.
+full report, environment included.  The file is written in any case; the
+exit status is 1, and the failing pairs are named, when a run exits
+nonzero or reports checks.ok false.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+    """The run's report (its leading JSON document) and exit status."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True).stdout
-    report, _ = json.JSONDecoder().raw_decode(out)  # the leading JSON document
-    return report
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    report, _ = json.JSONDecoder().raw_decode(proc.stdout)
+    return report, proc.returncode
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -55,16 +58,20 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    pairs, first = [], None
+    pairs, first, failed = [], None, []
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            report = _run(getattr(args, side), args.workload, seed, args.seconds)
+            report, status = _run(getattr(args, side), args.workload, seed, args.seconds)
             first = first or {"side": side, "output": report}
             pair[side] = {
                 "metrics": {k: m["value"] for k, m in report["metrics"].items()},
                 "checks": report["checks"],
+                "exit_status": status,
             }
+            if status != 0 or not report["checks"]["ok"]:
+                failed.append(f"seed {seed} {side}: exit status {status}, "
+                              f"checks.ok {report['checks']['ok']}")
             print(seed, side, pair[side]["metrics"], file=sys.stderr, flush=True)
         pairs.append(pair)
 
@@ -89,7 +96,9 @@ def main(argv=None) -> int:
         "first_run": first,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    for line in failed:
+        print(f"failed run, {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
