@@ -101,6 +101,22 @@ class TestGenerateSignal:
                     reached |= nz.size > 0 and nz.max() >= cfg.front_width
         assert reached
 
+    def test_front_loaded_only_designated(self):
+        # a prior whose block 0 is a window of 5 taps and whose block 1 is
+        # the whole block: after the embed, block 0 holds the draw in its
+        # first 5 coordinates, and block 1 reaches past them
+        st = BlockStructure.uniform(2, 30)
+        prior = BlockStructure((5, 30))
+        k = HiSparsity.uniform(2, 4, 2)
+        saw_outside = False
+        for seed in range(50):
+            x = experiments._embed_into(generate_signal(prior, k, seed), st)
+            nz0 = np.flatnonzero(x.block(0))
+            assert nz0.max() < 5
+            if np.flatnonzero(x.block(1)).max() >= 5:
+                saw_outside = True
+        assert saw_outside
+
     def test_window_too_small(self):
         st = BlockStructure.uniform(2, 3)
         with pytest.raises(ValueError):
@@ -477,11 +493,19 @@ class TestConfig:
             back = ExperimentConfig.from_json(path)
             assert back == cfg
 
+    @pytest.mark.parametrize("short_blocks", [(7, -1, 9), (0, 6), (-1,), (2, 1, 2)])
+    def test_short_blocks_outside_blocks_or_repeated_rejected(self, short_blocks):
+        # the short blocks are always the first N // 2 and the config has no
+        # short_blocks field: a config file that still names them, with
+        # indices outside the blocks or repeated, is refused as an unknown
+        # key rather than silently ignored
+        with pytest.raises(ValueError, match="short_blocks"):
+            ExperimentConfig.from_dict({**tiny_detection_config().to_dict(),
+                                        "short_blocks": list(short_blocks)})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"scenario": "recovery-grid", "bogus": 1})
-        # the short blocks are always the first N // 2: a config file that
-        # still names them is refused rather than silently ignored
         with pytest.raises(ValueError, match="short_blocks"):
             ExperimentConfig.from_dict({**tiny_detection_config().to_dict(),
                                         "short_blocks": [0, 1]})
