@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-# subsampled_dft caches the n x n DFT matrix only while it holds at most this
-# many entries (16 MiB at complex128); larger n evaluate the drawn rows.
+# The n x n DFT matrix is cached only while it holds at most this many
+# entries (16 MiB at complex128); larger n evaluate the entries they need.
 DFT_CACHE_MAX_ENTRIES = 1 << 20
 
 
@@ -67,39 +67,64 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
     return mat
 
 
-def _dft_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The given rows of the unscaled n x n DFT: exp(-2*pi*i*r*k/n)."""
-    return np.exp(np.outer(rows, np.arange(n)) * (-2j * np.pi / n))
+def _dft_phases(rows, cols, n: int) -> np.ndarray:
+    """exp(-2*pi*i*r*k/n) for the integer arrays rows and cols broadcast
+    together: the entries (r, k) of the unscaled n x n DFT."""
+    return np.exp(rows * cols * (-2j * np.pi / n))
 
 
 @functools.lru_cache(maxsize=4)
 def _dft_matrix(n: int) -> np.ndarray:
     """The read-only unscaled n x n DFT matrix."""
-    F = _dft_rows(np.arange(n), n)
+    k = np.arange(n)
+    F = _dft_phases(k[:, None], k, n)
     F.flags.writeable = False
+    return F
+
+
+def dft_entries(rows, cols, n: int) -> np.ndarray:
+    """A new array of the entries (r, k) of the unscaled n x n DFT, for the
+    integer arrays rows and cols broadcast together.
+
+    They are read from the DFT matrix, which is cached for the last few n
+    and costs 16*n^2 bytes per cached n (625 KiB at n = 200).  Past
+    DFT_CACHE_MAX_ENTRIES entries (n > 1024) they are evaluated.  Both
+    evaluate exp of the same float phase r*k*(-2*pi*i/n), so they are
+    bit-identical."""
+    if n * n <= DFT_CACHE_MAX_ENTRIES:
+        return _dft_matrix(n)[rows, cols]
+    return _dft_phases(rows, cols, n)
+
+
+def dft_rows(m: int, n: int, seed) -> np.ndarray:
+    """m distinct rows of the n x n DFT, drawn uniformly without
+    replacement, in ascending order: the random part of subsampled_dft."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    rng = as_rng(seed)
+    return np.sort(rng.choice(n, size=m, replace=False))
+
+
+def dft_block(rows: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The given rows of the n x n DFT on its first `width` columns, scaled
+    by 1/sqrt(m) for m = len(rows): entry (r, k) is
+    exp(-2*pi*i*rows[r]*k/n)/sqrt(m)."""
+    if n * n <= DFT_CACHE_MAX_ENTRIES:
+        F = _dft_matrix(n)[rows, :width]  # a row take, cheaper than dft_entries' gather
+    else:
+        F = _dft_phases(rows[:, None], np.arange(width), n)
+    F /= math.sqrt(len(rows))
     return F
 
 
 def subsampled_dft(m: int, n: int, seed) -> np.ndarray:
     """m distinct rows of the n x n DFT, scaled by 1/sqrt(m).
 
-    Rows are drawn uniformly without replacement and kept in ascending
-    order; entry (r, k) is exp(-2*pi*i*row_r*k/n)/sqrt(m), so every column
-    has unit 2-norm.
-
-    A draw copies its rows from the unscaled DFT matrix, which is cached
-    for the last few n and costs 16*n^2 bytes per cached n (625 KiB at
-    n = 200).  Past DFT_CACHE_MAX_ENTRIES entries (n > 1024) only the drawn
-    rows are evaluated.  Both evaluate exp of the same float phase
-    row_r*k*(-2*pi*i/n), so they are bit-identical.
+    Rows are drawn uniformly without replacement (dft_rows) and kept in
+    ascending order; entry (r, k) is exp(-2*pi*i*row_r*k/n)/sqrt(m), so
+    every column has unit 2-norm.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    rng = as_rng(seed)
-    rows = np.sort(rng.choice(n, size=m, replace=False))
-    F = _dft_matrix(n)[rows] if n * n <= DFT_CACHE_MAX_ENTRIES else _dft_rows(rows, n)
-    F /= math.sqrt(m)
-    return F
+    return dft_block(dft_rows(m, n, seed), n, n)
 
 
 def restrict_columns(B: np.ndarray, keep) -> np.ndarray:

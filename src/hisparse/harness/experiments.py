@@ -25,14 +25,15 @@ from ..blocks import BlockStructure, BlockVector, HiSparsity, HiSupport
 from ..ensembles import (
     as_rng,
     complex_gaussian,
+    dft_rows,
     gaussian_matrix,
-    restrict_columns,
+    restrict_columns,  # not called here: perfbench/workloads.py traces it by this name
     spawn_seedseq,
     stream_fingerprint,
     subsampled_dft,
 )
 from ..errors import BudgetError
-from ..operators import HierarchicalOperator
+from ..operators import HierarchicalOperator, dft_operator
 from ..riplab import (
     column_necessity_check,
     hirip_bound,
@@ -154,6 +155,17 @@ def summarize(records) -> list[dict]:
     return rows
 
 
+def _refuse_zero_signal(cfg: ExperimentConfig) -> None:
+    """ValueError when a sigma = 0 cell meets a finite SNR: its planted
+    signal is zero, and add_noise cannot set a finite SNR on that.  Run
+    before any trial, so no pool worker fails with it."""
+    if 0 in cfg.sigma_values and any(math.isfinite(snr) for snr in cfg.snr_db):
+        raise ValueError(
+            "sigma = 0 plants a zero signal, which cannot be measured at a finite "
+            "snr_db; use snr_db = inf for sigma = 0"
+        )
+
+
 def _run_pool(worker, args_list, threads: int) -> list:
     """Apply worker to every task; return the results in input order.
 
@@ -175,23 +187,26 @@ def _run_pool(worker, args_list, threads: int) -> list:
 
 def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: float,
              prior: BlockStructure):
-    """Draw A and the B_i, plant a k-sparse signal, measure it and add
-    noise at snr_db; each draw comes from its own stream under `ids`.
+    """Draw A and the rows of the B_i, plant a k-sparse signal, measure it
+    and add noise at snr_db; each draw comes from its own stream under `ids`.
 
     The signal is drawn in `prior`, the structure of the window each block
     is known to hold its energy in (its first prior.block_sizes[i]
     coordinates), and zero-padded to the full blocks.
 
-    Returns the operator, the noisy measurements and what every solve of
-    the trial is scored against: (signal, noise floor, active blocks).
+    Returns the operators on the full blocks and on the prior's windows
+    (the same rows, cut to the windows; one object when they coincide), the
+    noisy measurements and what every solve of the trial is scored
+    against: (signal, noise floor, active blocks).
     """
     seed = cfg.master_seed
+    sizes = cfg.block_sizes()
     A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
-    Bs = tuple(
-        subsampled_dft(cfg.m, n, spawn_seedseq(seed, *ids, _ROLE_B, i))
-        for i, n in enumerate(cfg.block_sizes())
-    )
-    H = HierarchicalOperator(A, Bs)
+    rows = np.array([
+        dft_rows(cfg.m, n, spawn_seedseq(seed, *ids, _ROLE_B, i)) for i, n in enumerate(sizes)
+    ])
+    H = dft_operator(A, rows, sizes)
+    H_prior = H if prior == H.structure else dft_operator(A, rows, sizes, prior.block_sizes)
     x_true = _embed_into(
         generate_signal(prior, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL)), H.structure
     )
@@ -202,7 +217,7 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
         noise_floor(y_clean, snr_db, x_true),
         HiSupport.of_nonzeros(x_true).active_blocks,
     )
-    return H, y, truth
+    return (H, H_prior), y, truth
 
 
 def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
@@ -243,7 +258,7 @@ def _recovery_trial(args) -> TrialRecord:
     M = cfg.M[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_RECOVERY, s, sigma, _snr_key(snr_db), trial)
-    H, y, truth = _measure(cfg, ids, M, k, snr_db, BlockStructure(cfg.block_sizes()))
+    (H, _), y, truth = _measure(cfg, ids, M, k, snr_db, BlockStructure(cfg.block_sizes()))
     return _solve(
         cfg, H, y, k, truth, MODE_UNIFORM, scenario=SCENARIO_RECOVERY, s=s,
         sigma=sigma, M=M, snr_db=snr_db, trial=trial,
@@ -263,6 +278,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("config is not a recovery-grid config")
     if len(cfg.M) != 1:
         raise ValueError("the recovery grid uses a single antenna count")
+    _refuse_zero_signal(cfg)
     sizes = cfg.block_sizes()
     skipped = []
     args = []
@@ -313,14 +329,9 @@ def _detection_trial(args) -> list[TrialRecord]:
     s, sigma = cfg.s_values[0], cfg.sigma_values[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
-    H, y, truth = _measure(cfg, ids, M, k, snr_db, prior)
     # same measurements solved twice: without and with the prior, whose
-    # operator keeps each B_i's first prior.block_sizes[i] columns (a block
-    # whose window is all of it keeps B_i itself, uncopied)
-    H_mixed = H._with_blocks(
-        B if w == B.shape[1] else restrict_columns(B, range(w))
-        for B, w in zip(H.Bs, prior.block_sizes)
-    )
+    # operator keeps each B_i's first prior.block_sizes[i] columns
+    (H, H_mixed), y, truth = _measure(cfg, ids, M, k, snr_db, prior)
     cell = dict(
         scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
         seed=stream_fingerprint(cfg.master_seed, *ids),
@@ -345,6 +356,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("config is not a block-detection config")
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
+    _refuse_zero_signal(cfg)
     prior = _detection_prior(cfg)
     args = [
         (cfg, prior, M, snr, trial)

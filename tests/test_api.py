@@ -10,7 +10,7 @@ from hisparse import BlockVector, HiSparsity, hihtp, kronecker_operator
 # "operators.HierarchicalOperator")
 REMOVED = {
     "operators": ("save_operator", "load_operator", "DENSE_ENTRY_BUDGET"),
-    "operators.HierarchicalOperator": ("assemble_dense",),
+    "operators.HierarchicalOperator": ("assemble_dense", "_with_blocks"),
     "riplab": ("rip_constant_randomized", "gram_matrix"),
     "solvers": ("least_squares_on_support",),
     "blocks": ("restrict",),

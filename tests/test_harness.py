@@ -257,6 +257,10 @@ class TestMse:
         assert detection_rate({1, 2, 3}, (1, 5, 6), 3) == pytest.approx(1 / 3)
 
 
+def _no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
 class TestRecoveryGrid:
     def test_records_and_aggregates(self):
         cfg = tiny_grid_config()
@@ -280,6 +284,16 @@ class TestRecoveryGrid:
         reasons = {(c["s"], c["sigma"]): c["reason"] for c in skipped}
         assert (7, 1) in reasons and (7, 11) in reasons and (1, 11) in reasons
         assert len(records) == 1 * cfg.trials
+
+    def test_zero_sigma_needs_infinite_snr(self, monkeypatch):
+        # sigma = 0 plants a zero signal, which no finite SNR can scale:
+        # refused before any trial runs
+        monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+        with pytest.raises(ValueError, match="sigma = 0"):
+            run_recovery_grid(tiny_grid_config(sigma_values=(1, 0), snr_db=(math.inf, 10.0)))
+        monkeypatch.undo()
+        records, _, _ = run_recovery_grid(tiny_grid_config(sigma_values=(0,), snr_db=(math.inf,)))
+        assert len(records) == 2 * 3 and all(r.success for r in records)
 
     def test_csv_round_trip_and_schema(self, tmp_path):
         path = tmp_path / "trials.csv"
@@ -358,10 +372,7 @@ class TestBlockDetection:
 
     def test_sigma_must_fit_front_window(self, monkeypatch):
         # refused before any trial runs, whichever blocks a draw activates
-        def no_trials(*args):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(experiments, "_run_pool", no_trials)
+        monkeypatch.setattr(experiments, "_run_pool", _no_trials)
         with pytest.raises(ValueError, match="sigma_0=2"):
             run_block_detection(tiny_detection_config(front_width=1))
         # ten blocks of 30, windows of 3 on the first five, one active block
@@ -369,6 +380,15 @@ class TestBlockDetection:
                                     sigma_values=(4,), front_width=3)
         with pytest.raises(ValueError, match="sigma_0=4"):
             run_block_detection(cfg)
+
+    def test_zero_sigma_needs_infinite_snr(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+        with pytest.raises(ValueError, match="sigma = 0"):
+            run_block_detection(tiny_detection_config(sigma_values=(0,)))
+        monkeypatch.undo()
+        cfg = tiny_detection_config(sigma_values=(0,), snr_db=(math.inf,))
+        records, _, _ = run_block_detection(cfg)
+        assert len(records) == 2 * cfg.trials
 
     def test_front_window_must_fit_short_blocks(self):
         # 20 columns cannot be cut from a 16-long block: refused up front,

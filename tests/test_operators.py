@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector
+from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq, subsampled_dft
 from hisparse.errors import DimensionError
 from hisparse import operators
-from hisparse.operators import HierarchicalOperator, kronecker_operator
+from hisparse.operators import (
+    FFT_MIN_ENTRIES,
+    HierarchicalOperator,
+    dft_operator,
+    kronecker_operator,
+)
 
 from oracles import dense_by_entries, random_operator
 
@@ -198,26 +204,6 @@ class TestValidationAndSerialization:
         with pytest.raises(DimensionError):
             HierarchicalOperator(np.eye(2), (np.eye(2), np.eye(3)))
 
-    def test_with_blocks_shares_checked_matrices(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        A, Bs = random_operator(rng, 3, 2, 4, (5, 6))
-        H = HierarchicalOperator(A, Bs)
-        scans = []
-        monkeypatch.setattr(operators, "_as_matrix", scans.append)
-        H2 = H._with_blocks((H.Bs[0][:, :2].copy(), H.Bs[1]))
-        assert scans == []
-        assert H2.A is H.A and H2.Bs[1] is H.Bs[1]
-        assert H2.structure == BlockStructure((2, 6)) and H.structure == BlockStructure((5, 6))
-        monkeypatch.undo()
-        x = random_block_vector(rng, H2.structure)
-        np.testing.assert_array_equal(
-            H2.apply(x), HierarchicalOperator(H.A, H2.Bs).apply(x)
-        )
-        with pytest.raises(DimensionError):
-            H._with_blocks((H.Bs[0],))
-        with pytest.raises(DimensionError):
-            H._with_blocks((H.Bs[0], H.Bs[1][:3]))
-
     @pytest.mark.parametrize("which", ["A", "B"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, which, bad):
@@ -225,3 +211,118 @@ class TestValidationAndSerialization:
         (A if which == "A" else B)[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             HierarchicalOperator(A, (B, np.eye(3)))
+
+
+def dft_instance(M, N, m, n, seed=0):
+    """A Gaussian A and N row draws of the n-point DFT, each from its own
+    stream, as the harness draws them."""
+    A = gaussian_matrix(M, N, spawn_seedseq(seed, 0))
+    rows = np.array([dft_rows(m, n, spawn_seedseq(seed, 1, i)) for i in range(N)])
+    return A, rows
+
+
+# matrix-free instances (M, N, m, n, widths): the paper detection shape on
+# full and on windowed blocks, the crossover shape, and n past the DFT cache
+FFT_CASES = {
+    "detection-full": (10, 20, 50, 200, None),
+    "detection-windowed": (10, 20, 50, 200, (10,) * 10 + (200,) * 10),
+    "crossover": (2, 3, 32, 128, (128, 5, 64)),
+    "uncached": (3, 4, 4, 1030, (1030, 7, 1, 513)),
+}
+
+
+def fft_case(name):
+    M, N, m, n, widths = FFT_CASES[name]
+    A, rows = dft_instance(M, N, m, n)
+    H = dft_operator(A, rows, (n,) * N, widths)
+    assert isinstance(H, operators._DFTOperator)
+    # the same blocks, dense
+    return H, HierarchicalOperator(A, H.Bs)
+
+
+class TestDftOperator:
+    def test_route_by_size(self):
+        def route(m, n, lengths=None):
+            A, rows = dft_instance(2, 3, m, n)
+            H = dft_operator(A, rows, lengths or (n,) * 3)
+            return "fft" if isinstance(H, operators._DFTOperator) else "dense"
+
+        assert route(16, 32) == "dense"  # the desk recovery grid
+        assert route(50, 200) == "fft"  # the paper detection sweep
+        assert route(50, 100) == "fft"  # the paper recovery grid
+        m = 32
+        assert route(m, FFT_MIN_ENTRIES // m) == "fft"
+        assert route(m, FFT_MIN_ENTRIES // m - 1) == "dense"
+        # blocks of different lengths stay dense at any size
+        assert route(50, 200, (200, 200, 201)) == "dense"
+
+    @pytest.mark.parametrize("case", FFT_CASES)
+    def test_apply_and_adjoint_match_dense(self, case):
+        # the FFT and the gathered product sum in another order than the
+        # dense blocks: pinned at |error| <= 1e-12 * ||input||
+        H, D = fft_case(case)
+        rng = np.random.default_rng(1)
+        x = random_block_vector(rng, H.structure)
+        x.block(1)[:] = 0
+        y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+        for got, want, scale in (
+            (H.apply(x), D.apply(x), np.linalg.norm(x.coeffs)),
+            (H.adjoint_apply(y).coeffs, D.adjoint_apply(y).coeffs, np.linalg.norm(y)),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(H.apply(BlockVector.zeros(H.structure)), 0)
+        np.testing.assert_array_equal(H.adjoint_apply(np.zeros(H.out_dim)).coeffs, 0)
+        with pytest.raises(DimensionError):
+            H.adjoint_apply(y[1:])
+        with pytest.raises(DimensionError):
+            H.apply(BlockVector.zeros(BlockStructure((1,) * H.num_blocks)))
+
+    @pytest.mark.parametrize("case", FFT_CASES)
+    def test_gathers_bit_equal_to_dense(self, case):
+        H, D = fft_case(case)
+        rng = np.random.default_rng(2)
+        for size in (0, 1, 30, 120):
+            cols = np.sort(rng.choice(H.total_dim, size=size, replace=False))
+            assert H.gram(cols).tobytes() == D.gram(cols).tobytes()
+            assert H.dense_columns(cols).tobytes() == D.dense_columns(cols).tobytes()
+        if H.total_dim <= 2000:
+            assert H.gram().tobytes() == D.gram().tobytes()
+
+    @pytest.mark.parametrize("m,n", [(16, 32), (50, 200), (4, 1030)])
+    def test_dense_blocks_are_the_draws(self, m, n):
+        # on either route, H.Bs is subsampled_dft's draw from the same
+        # stream cut to the window, bit for bit
+        A = gaussian_matrix(2, 3, 0)
+        seeds = [spawn_seedseq(7, i) for i in range(3)]
+        rows = np.array([dft_rows(m, n, seed) for seed in seeds])
+        for widths in ((n,) * 3, (n, 1, n // 2)):
+            H = dft_operator(A, rows, (n,) * 3, widths)
+            for B, seed, w in zip(H.Bs, seeds, widths):
+                assert B.dtype == np.complex128 and B.flags.c_contiguous
+                assert B.tobytes() == subsampled_dft(m, n, seed)[:, :w].tobytes()
+
+    @pytest.mark.parametrize("m,n", [(16, 32), (50, 200)])
+    def test_shares_a_and_scans_no_block(self, monkeypatch, m, n):
+        A, rows = dft_instance(3, 2, m, n)
+        scans = []
+        monkeypatch.setattr(operators, "_as_matrix", lambda a: scans.append(a) or a)
+        H = dft_operator(A, rows, (n, n), (2, n))
+        assert len(scans) == 1 and scans[0] is A and H.A is A
+        assert H.structure == BlockStructure((2, n))
+        monkeypatch.undo()
+        x = random_block_vector(np.random.default_rng(3), H.structure)
+        np.testing.assert_allclose(
+            H.apply(x), HierarchicalOperator(A, H.Bs).apply(x), rtol=0, atol=1e-13
+        )
+        with pytest.raises(DimensionError):
+            dft_operator(A, rows[:1], (n, n))
+        with pytest.raises(DimensionError):
+            dft_operator(A, rows, (n,))
+        with pytest.raises(DimensionError):
+            dft_operator(A, rows, (n, n), (2,))
+        with pytest.raises(ValueError, match="wider"):
+            dft_operator(A, rows, (n, n), (2, n + 1))
+        with pytest.raises(ValueError, match="ascending"):
+            dft_operator(A, rows[:, ::-1], (n, n))
+        with pytest.raises(ValueError, match="ascending"):
+            dft_operator(A, rows, (n, int(rows[1, -1])))
