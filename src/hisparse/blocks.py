@@ -228,22 +228,27 @@ class HiSupport:
 
 @functools.lru_cache(maxsize=16)
 def _threshold_groups(structure: BlockStructure, sigma: tuple[int, ...]):
-    """The blocks with sigma_i > 0 grouped by (n_i, sigma_i).
+    """The blocks with sigma_i > 0 grouped by sigma_i.
 
     Returns (groups, slots).  groups[g - 1] is (sigma, block indices, (c, n)
     flat indices of the c blocks) for group g >= 1, in order of first
-    appearance, with read-only arrays; slots[i] is block i's (group, row),
-    and (0, 0) for a block with sigma_i = 0.  sigma is validated here, once
+    appearance, with read-only arrays: n is the longest of the c blocks,
+    and a shorter block's row is padded with total_dim, the slot that
+    hi_threshold fills with -1.  slots[i] is block i's (group, row), and
+    (0, 0) for a block with sigma_i = 0.  sigma is validated here, once
     per (structure, sigma); lru_cache keeps no exceptions."""
     HiSparsity(1, sigma).validate_for(structure)
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(structure.block_sizes, sigma)):
-        if key[1]:
-            members.setdefault(key, []).append(i)
+    members: dict[int, list[int]] = {}
+    for i, sig in enumerate(sigma):
+        if sig:
+            members.setdefault(sig, []).append(i)
+    sizes = np.array(structure.block_sizes, dtype=np.intp)
     groups, slots = [], [(0, 0)] * structure.num_blocks
-    for g, ((n, sig), blocks) in enumerate(members.items(), start=1):
+    for g, (sig, blocks) in enumerate(members.items(), start=1):
         idx = np.array(blocks, dtype=np.intp)
-        flat = structure.starts[idx, None] + np.arange(n)
+        local = np.arange(sizes[idx].max())
+        flat = np.where(local < sizes[idx, None], structure.starts[idx, None] + local,
+                        structure.total_dim)
         idx.flags.writeable = flat.flags.writeable = False
         groups.append((sig, idx, flat))
         for r, b in enumerate(blocks):
@@ -260,22 +265,40 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     Ties (equal magnitudes or equal scores) keep the lower index.
     Non-finite coefficients raise ValueError.
 
-    The blocks sharing (n_i, sigma_i) are thresholded together as one
-    (c, n) array of magnitudes: one row-wise partition finds each row's
-    sigma-th largest magnitude t, and a row keeps its entries above t plus,
-    in index order, as many entries equal to t as fill sigma -- the first
-    sigma of a stable descending sort.  Scores are row sums of the kept
-    squared magnitudes in ascending coordinate order, as a per-block loop
-    would add them.
+    The blocks sharing sigma_i are thresholded together as one (c, n)
+    array of magnitudes, n the longest of them, with shorter rows padded
+    by -1: below every magnitude, so no row keeps a pad.  One row-wise
+    partition finds each row's sigma-th largest magnitude t, and a row
+    keeps its entries above t plus, in index order, as many entries equal
+    to t as fill sigma -- the first sigma of a stable descending sort.
+    Scores are row sums of the kept squared magnitudes in ascending
+    coordinate order, as a per-block loop would add them.
     """
+    st = x.structure
+    scores, picked, slots = _block_scores(x, k)
+    winners = np.sort(np.argsort(-scores, kind="stable")[: k.s]).tolist()
+    cols = [picked[g][r] for g, r in map(slots.__getitem__, winners)]
+
+    out = BlockVector.zeros(st)
+    kept = np.concatenate(cols)  # ascending: winners are, and so is each row
+    out.coeffs[kept] = x.coeffs[kept]
+    return out, HiSupport._of_sorted(st, kept, [i for i in winners if not k.sigma[i]])
+
+
+def _block_scores(x: BlockVector, k: HiSparsity):
+    """The in-block step of hi_threshold: (scores, picked, slots), with
+    scores[i] block i's score, picked[g] the (c, sigma) global columns
+    group g keeps in each of its blocks (picked[0] serves the blocks with
+    sigma_i = 0) and slots from _threshold_groups."""
     st = x.structure
     groups, slots = _threshold_groups(st, k.sigma)
     if not np.isfinite(x.coeffs).all():
         raise ValueError("cannot threshold non-finite coefficients")
-    mag = np.abs(x.coeffs)
+    # the magnitudes, and the pad slot at index total_dim
+    mag = np.empty(st.total_dim + 1)
+    np.abs(x.coeffs, out=mag[:-1])
+    mag[-1] = -1.0
     scores = np.zeros(st.num_blocks)
-    # picked[g]: the (c, sigma) global columns group g keeps per block;
-    # picked[0] serves the blocks with sigma_i = 0
     picked = [np.empty((1, 0), dtype=np.intp)]
     for sig, idx, flat in groups:
         rows = mag[flat]
@@ -290,13 +313,7 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
         pos = np.flatnonzero(keep)  # row-major: each row's kept entries ascending
         scores[idx] = np.sum(rows.reshape(-1)[pos].reshape(-1, sig) ** 2, axis=1)
         picked.append(flat.reshape(-1)[pos].reshape(-1, sig))
-    winners = np.sort(np.argsort(-scores, kind="stable")[: k.s]).tolist()
-    cols = [picked[g][r] for g, r in map(slots.__getitem__, winners)]
-
-    out = BlockVector.zeros(st)
-    kept = np.concatenate(cols)  # ascending: winners are, and so is each row
-    out.coeffs[kept] = x.coeffs[kept]
-    return out, HiSupport._of_sorted(st, kept, [i for i in winners if not k.sigma[i]])
+    return scores, picked, slots
 
 
 def is_hi_sparse(x: BlockVector, k: HiSparsity) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..solvers import SolverConfig
@@ -62,10 +63,27 @@ class ExperimentConfig:
         self.snr_db = tuple(float(v) for v in self.snr_db)
         if not isinstance(self.block_lengths, int):
             self.block_lengths = tuple(int(v) for v in self.block_lengths)
+        self.check()
+
+    def check(self) -> None:
+        """ValueError for a value no trial can run with.  Run on
+        construction, and by each runner before any trial, so a field set
+        after construction is refused up front as well."""
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if min(self.M) < 1 or self.N < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if self.front_width < 1:
+            raise ValueError(f"front_width must be >= 1, got {self.front_width}")
+        # sigma = 0 plants a zero signal, and no finite SNR can scale one
+        if (self.scenario != SCENARIO_THEOREM and 0 in self.sigma_values
+                and any(math.isfinite(snr) for snr in self.snr_db)):
+            raise ValueError(
+                "sigma = 0 plants a zero signal, which cannot be measured at a finite "
+                "snr_db; use snr_db = inf for sigma = 0"
+            )
 
     def block_sizes(self) -> tuple[int, ...]:
         if isinstance(self.block_lengths, int):

@@ -155,17 +155,6 @@ def summarize(records) -> list[dict]:
     return rows
 
 
-def _refuse_zero_signal(cfg: ExperimentConfig) -> None:
-    """ValueError when a sigma = 0 cell meets a finite SNR: its planted
-    signal is zero, and add_noise cannot set a finite SNR on that.  Run
-    before any trial, so no pool worker fails with it."""
-    if 0 in cfg.sigma_values and any(math.isfinite(snr) for snr in cfg.snr_db):
-        raise ValueError(
-            "sigma = 0 plants a zero signal, which cannot be measured at a finite "
-            "snr_db; use snr_db = inf for sigma = 0"
-        )
-
-
 def _run_pool(worker, args_list, threads: int) -> list:
     """Apply worker to every task; return the results in input order.
 
@@ -278,7 +267,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("config is not a recovery-grid config")
     if len(cfg.M) != 1:
         raise ValueError("the recovery grid uses a single antenna count")
-    _refuse_zero_signal(cfg)
+    cfg.check()
     sizes = cfg.block_sizes()
     skipped = []
     args = []
@@ -356,7 +345,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("config is not a block-detection config")
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
-    _refuse_zero_signal(cfg)
+    cfg.check()
     prior = _detection_prior(cfg)
     args = [
         (cfg, prior, M, snr, trial)

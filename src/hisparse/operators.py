@@ -8,10 +8,10 @@ measurement
 
 i.e. the antenna index j is the outer (slow) index of the output.  A and
 the B_i are complex128 numpy arrays, except in the matrix-free form that
-dft_operator gives blocks of subsampled-DFT rows at m*n >= FFT_MIN_ENTRIES:
-it keeps only the rows of each block, applies its adjoint by one batched
-inverse FFT, reads the DFT entries a column gather needs, and makes the
-dense B_i only when they are asked for.
+dft_operator gives blocks of subsampled-DFT rows of one length: it keeps
+only the rows of each block, applies its adjoint by one batched inverse
+FFT, reads the DFT entries a column gather needs, and makes the dense B_i
+only when they are asked for.
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ import numpy as np
 from .blocks import BlockStructure, BlockVector
 from .ensembles import dft_block, dft_entries
 from .errors import DimensionError
-
-# dft_operator is matrix-free from m*n = FFT_MIN_ENTRIES on: the paper
-# grids (m*n = 5,000 and 10,000), where the FFT adjoint is 3-4x faster than
-# the dense one.  The desk grid (512) stays dense, so its outputs keep their
-# bits: the FFT rounds differently, and some desk recovery trials sit on a
-# knife edge where a last-bit change can change an iteration count.
-FFT_MIN_ENTRIES = 4096
-
 
 def _as_matrix(a) -> np.ndarray:
     """a as a complex128 matrix; ValueError unless it is 2-D and finite."""
@@ -116,6 +108,15 @@ class HierarchicalOperator:
             np.matmul(self.Bs[i], x.block(i), out=z[i])
         return (self.A @ z).reshape(-1)
 
+    def _apply_gathered(self, cols: np.ndarray, gathered, z: np.ndarray) -> np.ndarray:
+        """apply of the vector holding z on the sorted, in-range global
+        columns cols and zero elsewhere, given gathered = self._gather(cols),
+        with apply's bits.  The dense blocks need no gather: z is scattered
+        and applied block by block."""
+        x = BlockVector.zeros(self._structure)
+        x.coeffs[cols] = z
+        return self._forward(x)
+
     def adjoint_apply(self, y: np.ndarray) -> BlockVector:
         """Adjoint H* y; block i is B_i^* w_i, where w_i = sum_j conj(A[j,i]) y_j
         is row i of the (N, m) antenna mix w = A^* Y."""
@@ -163,7 +164,11 @@ class HierarchicalOperator:
         Built in O(m len(cols)^2) from A^*A and the Gram matrix of the
         m-row stack of the selected B columns, without assembling the
         (M*m) x len(cols) dense matrix."""
-        inner, owner = self._gather(cols)
+        return self._gram(self._gather(cols))
+
+    def _gram(self, gathered) -> np.ndarray:
+        """gram from gathered = self._gather(cols)."""
+        inner, owner = gathered
         gram = inner.conj().T @ inner
         gram *= self._mixing_gram[np.ix_(owner, owner)]
         return gram
@@ -176,7 +181,11 @@ class HierarchicalOperator:
         (M, m, len(cols)) buffer, so every entry is the single product
         A[j, b] * B_b[r, c], exactly as in kron.
         """
-        inner, owner = self._gather(cols)
+        return self._dense(self._gather(cols))
+
+    def _dense(self, gathered) -> np.ndarray:
+        """dense_columns from gathered = self._gather(cols)."""
+        inner, owner = gathered
         out = np.empty((self.num_antennas, self.inner_rows, inner.shape[1]), dtype=np.complex128)
         np.multiply(self.A[:, None, owner], inner, out=out)
         return out.reshape(self.out_dim, inner.shape[1])
@@ -190,9 +199,12 @@ class _DFTOperator(HierarchicalOperator):
     def __init__(self, A: np.ndarray, rows: np.ndarray, n: int, structure: BlockStructure):
         self.A, self.rows, self.n, self._structure = A, rows, n, structure
         # where row r of block i, and coordinate c of block i, sit in a
-        # flat (N, n) array
+        # flat (N, n) array; no coordinate map when every window is its
+        # full block, where the flat array is the coordinates in order
         self._row_pos = rows + n * np.arange(rows.shape[0])[:, None]
-        self._coord_pos = structure.owner * n + self._local(np.arange(structure.total_dim))
+        self._coord_pos = None
+        if structure.total_dim < rows.shape[0] * n:
+            self._coord_pos = structure.owner * n + self._local(np.arange(structure.total_dim))
 
     def _local(self, cols: np.ndarray) -> np.ndarray:
         return cols - self._structure.starts[self._structure.owner[cols]]
@@ -212,16 +224,26 @@ class _DFTOperator(HierarchicalOperator):
     def _forward(self, x: BlockVector) -> np.ndarray:
         """apply from the gathered nonzero columns."""
         cols = np.flatnonzero(x.coeffs)
-        inner, owner = self._gather(cols)
-        return ((self.A[:, owner] * x.coeffs[cols]) @ inner.T).reshape(-1)
+        return self._apply_gathered(cols, self._gather(cols), x.coeffs[cols])
+
+    def _apply_gathered(self, cols: np.ndarray, gathered, z: np.ndarray) -> np.ndarray:
+        """The product of the gathered columns, scaled by their mixing
+        columns, with z: the formula of _forward itself, which takes the
+        nonzero columns only, so the bits are apply's when no value of z
+        is exactly zero."""
+        inner, owner = gathered
+        return ((self.A[:, owner] * z) @ inner.T).reshape(-1)
 
     def _adjoint(self, w: np.ndarray) -> BlockVector:
         """Row i of w, scattered to block i's rows of a length-n vector z_i,
         gives B_i^* w_i = (n/sqrt(m)) ifft(z_i) on the window: one batched
-        inverse FFT serves every block."""
+        inverse FFT, in place, serves every block, and the windows are
+        gathered from it unless every window is its full block."""
         z = np.zeros((self.num_blocks, self.n), dtype=np.complex128)
         z.reshape(-1)[self._row_pos] = w
-        out = np.fft.ifft(z, axis=1).reshape(-1)[self._coord_pos]
+        out = np.fft.ifft(z, axis=1, out=z).reshape(-1)
+        if self._coord_pos is not None:
+            out = out[self._coord_pos]
         out *= self.n / math.sqrt(self.inner_rows)
         return BlockVector(self._structure, out)
 
@@ -243,9 +265,9 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
     draws, given the rows dft_rows draws.
 
     rows is an N x m integer array, each row ascending, distinct and in
-    range.  When all lengths are one n and m*n >= FFT_MIN_ENTRIES the
-    operator is matrix-free; otherwise its blocks are made dense by
-    dft_block.  Either way no block is scanned for finiteness."""
+    range.  When all lengths are one n the operator is matrix-free; with
+    mixed lengths its blocks are made dense by dft_block.  Either way no
+    block is scanned for finiteness."""
     A = _as_matrix(A)
     rows = np.asarray(rows, dtype=np.intp)
     lengths = tuple(int(n) for n in lengths)
@@ -258,7 +280,7 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
         raise ValueError("the rows of each block must be ascending, distinct and in range")
     if any(w > n for w, n in zip(structure.block_sizes, lengths)):
         raise ValueError(f"a window is wider than its block: {structure.block_sizes} > {lengths}")
-    if len(set(lengths)) == 1 and rows.shape[1] * lengths[0] >= FFT_MIN_ENTRIES:
+    if len(set(lengths)) == 1:
         return _DFTOperator(A, rows, lengths[0], structure)
     return HierarchicalOperator._of_checked(
         A, (dft_block(r, n, w) for r, n, w in zip(rows, lengths, structure.block_sizes)),

@@ -85,13 +85,16 @@ def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def _restricted_lstsq(
     H: HierarchicalOperator, y: np.ndarray, support: HiSupport, hy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
     """Minimize ||y - H z|| over z supported in `support`; hy is H^* y.
 
     Returns the support's global column indices in ascending order (the
     support is validated once, here: IndexError when it does not fit H),
-    the minimizer's values on them (scatter them with _scatter) and whether
-    the selected columns are rank deficient.
+    the minimizer's values on them (scatter them with _scatter), whether
+    the selected columns are rank deficient, and the residual y - H z
+    from H._apply_gathered, with the bits of y - H.apply of the scattered
+    minimizer.  The columns are gathered once and serve the solve and the
+    residual alike.
 
     A support with out_dim >= 2|S| solves the normal equations
     G z = (H^* y)[S], with G = H.gram(cols) built from the structure in
@@ -105,13 +108,15 @@ def _restricted_lstsq(
     support alone, which the pursuit's cycle skip relies on."""
     cols = support.column_indices(H.structure)
     if not cols.size:
-        return cols, np.zeros(0, dtype=np.complex128), False
+        return cols, np.zeros(0, dtype=np.complex128), False, y
+    gathered = H._gather(cols)
+    sol, rank_deficient = None, False
     if H.out_dim >= 2 * cols.size:
-        sol = _gram_solve(H.gram(cols), hy[cols])
-        if sol is not None:
-            return cols, sol, False
-    sol, _, rank, _ = np.linalg.lstsq(H.dense_columns(cols), y, rcond=None)
-    return cols, sol, rank < cols.size
+        sol = _gram_solve(H._gram(gathered), hy[cols])
+    if sol is None:
+        sol, _, rank, _ = np.linalg.lstsq(H._dense(gathered), y, rcond=None)
+        rank_deficient = rank < cols.size
+    return cols, sol, rank_deficient, y - H._apply_gathered(cols, gathered, sol)
 
 
 def _measurements(H: HierarchicalOperator, y: np.ndarray) -> np.ndarray:
@@ -153,8 +158,7 @@ def _pursuit(H, y, project, cfg: SolverConfig) -> SolverResult:
                 support = list(refits)[j - 1 + (cfg.max_iters - j) % (t - j)]
                 t = cfg.max_iters
             break
-        cols, sol, rank_deficient = _restricted_lstsq(H, y, support, hy.coeffs)
-        r = y - H.apply(_scatter(H, cols, sol))
+        cols, sol, rank_deficient, r = _restricted_lstsq(H, y, support, hy.coeffs)
         residual = float(np.linalg.norm(r))
         refits[support] = (t, cols, sol, residual)
         if rank_deficient or residual <= tol:

@@ -80,13 +80,9 @@ def best_hi_approx_residual(x: BlockVector, k: HiSparsity) -> float:
     return float(np.sqrt(max(total - best_kept, 0.0)))
 
 
-def hi_threshold_by_blocks(x: BlockVector, k: HiSparsity):
-    """Per-block loop of hierarchical thresholding: one stable argsort of
-    each block's negated magnitudes keeps its top sigma_i entries, a block
-    scores the sum of their squared magnitudes in ascending coordinate
-    order, and a stable argsort of the negated scores picks s blocks.
-
-    Returns (thresholded BlockVector, HiSupport)."""
+def block_scores_by_loop(x: BlockVector, k: HiSparsity):
+    """The in-block step of hi_threshold_by_blocks: each block's kept local
+    coordinates, ascending, and the array of block scores."""
     kept, scores = [], np.zeros(x.structure.num_blocks)
     for i, sig in enumerate(k.sigma):
         b = x.block(i)
@@ -94,6 +90,17 @@ def hi_threshold_by_blocks(x: BlockVector, k: HiSparsity):
         kept.append(local)
         if sig:
             scores[i] = float(np.sum(np.abs(b[local]) ** 2))
+    return kept, scores
+
+
+def hi_threshold_by_blocks(x: BlockVector, k: HiSparsity):
+    """Per-block loop of hierarchical thresholding: one stable argsort of
+    each block's negated magnitudes keeps its top sigma_i entries, a block
+    scores the sum of their squared magnitudes in ascending coordinate
+    order, and a stable argsort of the negated scores picks s blocks.
+
+    Returns (thresholded BlockVector, HiSupport)."""
+    kept, scores = block_scores_by_loop(x, k)
     winners = np.sort(np.argsort(-scores, kind="stable")[: k.s])
     out = BlockVector.zeros(x.structure)
     entries = {}

@@ -10,9 +10,15 @@ from hisparse.blocks import (
     hi_threshold,
     is_hi_sparse,
 )
+from hisparse import blocks
 from hisparse.errors import DimensionError
 
-from oracles import best_hi_approx_residual, random_hi_sparse
+from oracles import (
+    best_hi_approx_residual,
+    block_scores_by_loop,
+    hi_threshold_by_blocks,
+    random_hi_sparse,
+)
 
 
 def bv(structure, *blocks):
@@ -251,6 +257,84 @@ class TestHiThreshold:
         x = BlockVector.zeros(st)
         with pytest.raises(DimensionError):
             hi_threshold(x, HiSparsity(1, (1, 1, 1)))
+
+
+class TestPaddedSigmaGroups:
+    """Blocks sharing sigma_i are thresholded as one array padded by -1 to
+    the longest of them: checked against the per-block loop, scores bit for
+    bit, and against the exhaustive oracle where it is affordable."""
+
+    @staticmethod
+    def check(x, k, exhaustive=True):
+        out, support = hi_threshold(x, k)
+        want_out, want_support = hi_threshold_by_blocks(x, k)
+        assert out.coeffs.tobytes() == want_out.coeffs.tobytes()
+        assert support == want_support
+        scores = blocks._block_scores(x, k)[0]
+        assert scores.tobytes() == block_scores_by_loop(x, k)[1].tobytes()
+        if exhaustive:
+            res = np.linalg.norm(x.coeffs - out.coeffs)
+            tol = 1e-12 * (1.0 + np.linalg.norm(x.coeffs))
+            assert abs(res - best_hi_approx_residual(x, k)) <= tol
+        return support
+
+    @staticmethod
+    def levels(rng, n):
+        """Coefficients from a few magnitudes and phases: exact ties."""
+        phases = np.exp(0.5j * np.pi * rng.integers(0, 4, n))
+        return rng.choice((0.0, 1.0, 2.0, 0.5), n) * phases
+
+    def test_detection_windows_are_one_group(self):
+        # the mixed-mode prior: 10 windows of 10 and 10 blocks of 200, all
+        # sigma = 5, thresholded as one (20, 200) array
+        st = BlockStructure((10,) * 10 + (200,) * 10)
+        k = HiSparsity.uniform(4, 5, 20)
+        groups, slots = blocks._threshold_groups(st, k.sigma)
+        assert len(groups) == 1 and groups[0][2].shape == (20, 200)
+        assert slots == tuple((1, r) for r in range(20))
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            c = rng.standard_normal(st.total_dim) + 1j * rng.standard_normal(st.total_dim)
+            c[:100] *= 2.0 * (trial % 2)  # windows strong, or all zero
+            self.check(BlockVector(st, c), k, exhaustive=False)
+        # the same shape, small enough for the exhaustive oracle
+        st, k = BlockStructure((2, 2, 6, 6)), HiSparsity.uniform(2, 2, 4)
+        for _ in range(20):
+            self.check(BlockVector(st, rng.standard_normal(16) + 1j * rng.standard_normal(16)), k)
+
+    @pytest.mark.parametrize("s", [1, 3, 4])
+    def test_zero_block_sigma_long(self, s):
+        # block 0 is exactly sigma long and all zero: its threshold t = 0
+        # sits next to the -1 padding, and it keeps both its zeros
+        st, k = BlockStructure((2, 6, 2, 6)), HiSparsity.uniform(s, 2, 4)
+        rng = np.random.default_rng(s)
+        x = BlockVector(st, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        x.block(0)[:] = 0
+        support = self.check(x, k)
+        assert (0 in support.active_blocks) == (s == 4)
+        if s == 4:
+            assert support.entries[0] == (0, 1)
+
+    def test_ties_at_t_across_lengths(self):
+        st = BlockStructure((3, 5, 4, 5, 3, 2))
+        k = HiSparsity(3, (2,) * 6)
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            self.check(BlockVector(st, self.levels(rng, st.total_dim)), k)
+
+    def test_zero_sigma_blocks_mixed_in(self):
+        st = BlockStructure((3, 5, 6, 2, 4, 5))
+        k = HiSparsity(3, (2, 0, 2, 0, 1, 2))
+        groups, slots = blocks._threshold_groups(st, k.sigma)
+        assert [g[1].tolist() for g in groups] == [[0, 2, 5], [4]]
+        assert slots[1] == slots[3] == (0, 0)
+        rng = np.random.default_rng(23)
+        for trial in range(100):
+            if trial % 2:
+                c = self.levels(rng, st.total_dim)
+            else:
+                c = rng.standard_normal(st.total_dim) + 1j * rng.standard_normal(st.total_dim)
+            self.check(BlockVector(st, c), k)
 
 
 class TestPredicatesAndRestrict:

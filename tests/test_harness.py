@@ -261,6 +261,27 @@ def _no_trials(*args):
     raise AssertionError("a trial ran")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", (math.nan,)),
+    ("snr_db", (10.0, -math.inf)),
+    ("front_width", 0),
+    ("front_width", -3),
+])
+def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
+    # refused with a message naming the field, on construction and, for a
+    # field set afterwards, by the runner before any trial (pool or not)
+    monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+    for make, run in ((tiny_grid_config, run_recovery_grid),
+                      (tiny_detection_config, run_block_detection)):
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
+        cfg = make()
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            run(cfg, threads=threads)
+
+
 class TestRecoveryGrid:
     def test_records_and_aggregates(self):
         cfg = tiny_grid_config()

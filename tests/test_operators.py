@@ -8,7 +8,6 @@ from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq, subsamp
 from hisparse.errors import DimensionError
 from hisparse import operators
 from hisparse.operators import (
-    FFT_MIN_ENTRIES,
     HierarchicalOperator,
     dft_operator,
     kronecker_operator,
@@ -221,9 +220,11 @@ def dft_instance(M, N, m, n, seed=0):
     return A, rows
 
 
-# matrix-free instances (M, N, m, n, widths): the paper detection shape on
-# full and on windowed blocks, the crossover shape, and n past the DFT cache
+# matrix-free instances (M, N, m, n, widths): the desk recovery grid, the
+# paper detection shape on full and on windowed blocks, the crossover
+# shape, and n past the DFT cache
 FFT_CASES = {
+    "desk": (12, 16, 16, 32, None),
     "detection-full": (10, 20, 50, 200, None),
     "detection-windowed": (10, 20, 50, 200, (10,) * 10 + (200,) * 10),
     "crossover": (2, 3, 32, 128, (128, 5, 64)),
@@ -241,20 +242,24 @@ def fft_case(name):
 
 
 class TestDftOperator:
-    def test_route_by_size(self):
+    def test_route_by_lengths(self):
         def route(m, n, lengths=None):
             A, rows = dft_instance(2, 3, m, n)
             H = dft_operator(A, rows, lengths or (n,) * 3)
-            return "fft" if isinstance(H, operators._DFTOperator) else "dense"
+            if isinstance(H, operators._DFTOperator):
+                return "fft"
+            assert type(H) is HierarchicalOperator
+            return "dense"
 
-        assert route(16, 32) == "dense"  # the desk recovery grid
+        # one block length is matrix-free at every size
+        assert route(16, 32) == "fft"  # the desk recovery grid
         assert route(50, 200) == "fft"  # the paper detection sweep
         assert route(50, 100) == "fft"  # the paper recovery grid
-        m = 32
-        assert route(m, FFT_MIN_ENTRIES // m) == "fft"
-        assert route(m, FFT_MIN_ENTRIES // m - 1) == "dense"
+        assert route(1, 1) == "fft"
+        assert route(4, 1030) == "fft"  # past the DFT cache
         # blocks of different lengths stay dense at any size
         assert route(50, 200, (200, 200, 201)) == "dense"
+        assert route(16, 32, (32, 64, 32)) == "dense"
 
     @pytest.mark.parametrize("case", FFT_CASES)
     def test_apply_and_adjoint_match_dense(self, case):
@@ -287,6 +292,30 @@ class TestDftOperator:
             assert H.dense_columns(cols).tobytes() == D.dense_columns(cols).tobytes()
         if H.total_dim <= 2000:
             assert H.gram().tobytes() == D.gram().tobytes()
+
+    @pytest.mark.parametrize("case", ["desk", "detection-windowed", "uncached", "mixed"])
+    def test_apply_gathered_is_apply_bitwise(self, case):
+        # the residual the refit takes from its own gather has the bits of
+        # apply on the scattered solution, on either route
+        if case == "mixed":
+            A, rows = dft_instance(3, 4, 6, 16)
+            H = dft_operator(A, rows, (16, 16, 24, 16), (16, 3, 24, 9))
+            assert type(H) is HierarchicalOperator
+        else:
+            H = fft_case(case)[0]
+        rng = np.random.default_rng(4)
+        st = H.structure
+        for cols in (
+            np.zeros(0, dtype=np.intp),
+            np.array([st.total_dim - 1]),
+            np.sort(rng.choice(st.total_dim, size=min(30, st.total_dim), replace=False)),
+            np.arange(st.offset(1), st.total_dim),  # block 0 all zero
+        ):
+            z = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+            x = BlockVector.zeros(st)
+            x.coeffs[cols] = z
+            got = H._apply_gathered(cols, H._gather(cols), z)
+            assert got.tobytes() == H.apply(x).tobytes()
 
     @pytest.mark.parametrize("m,n", [(16, 32), (50, 200), (4, 1030)])
     def test_dense_blocks_are_the_draws(self, m, n):

@@ -9,9 +9,10 @@ from hisparse.blocks import (
     hi_threshold,
     is_hi_sparse,
 )
-from hisparse.ensembles import gaussian_matrix, spawn_seedseq, subsampled_dft
+from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq, subsampled_dft
 from hisparse.errors import DimensionError
-from hisparse.operators import HierarchicalOperator
+from hisparse import operators
+from hisparse.operators import HierarchicalOperator, dft_operator
 from hisparse.riplab import hirip_constant_exact
 import hisparse.solvers as solvers
 from hisparse.solvers import (
@@ -47,11 +48,15 @@ def desk_operator(seed, M=12, N=16, m=16, n=32):
 
 def package_refit(H, y, support):
     """The pursuit's refit as (estimate, rank deficient): least squares of y
-    on the support, zero elsewhere."""
-    cols, sol, rank_deficient = solvers._restricted_lstsq(
+    on the support, zero elsewhere.  The residual the refit returns must be
+    y - H.apply(estimate) bit for bit."""
+    y = np.asarray(y, dtype=np.complex128)
+    cols, sol, rank_deficient, r = solvers._restricted_lstsq(
         H, y, support, H.adjoint_apply(y).coeffs
     )
-    return solvers._scatter(H, cols, sol), rank_deficient
+    x = solvers._scatter(H, cols, sol)
+    assert r.tobytes() == (y - H.apply(x)).tobytes()
+    return x, rank_deficient
 
 
 class TestLeastSquares:
@@ -153,7 +158,7 @@ class TestRefitRoutes:
         H = HierarchicalOperator(A, Bs)
         cols = np.sort(rng.choice(H.total_dim, size=width, replace=False))
         y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
-        got_cols, sol, _ = solvers._restricted_lstsq(
+        got_cols, sol, _, _ = solvers._restricted_lstsq(
             H, y, HiSupport.of_columns(H.structure, cols), H.adjoint_apply(y).coeffs
         )
         np.testing.assert_array_equal(got_cols, cols)
@@ -500,3 +505,28 @@ class TestCycleSkip:
         res = htp_flat(H, y, 4, cfg)
         assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
         self.assert_matches_reference(res, H, y, flat_top_k(H.structure, 4), cfg)
+
+    def test_matrix_free_operator_matches_reference(self):
+        # the pursuit takes each residual from its refit's own gather; on
+        # the matrix-free route the run must still equal, bit for bit, the
+        # reference that recomputes y - H.apply(x)
+        M, N, m, n = 6, 8, 16, 32
+        k = HiSparsity.uniform(2, 3, N)
+        cfg = SolverConfig(max_iters=20)
+        stops = set()
+        for seed in range(3):
+            A = gaussian_matrix(M, N, spawn_seedseq(700 + seed, 0))
+            rows = np.array([dft_rows(m, n, spawn_seedseq(700 + seed, 1, i)) for i in range(N)])
+            H = dft_operator(A, rows, (n,) * N)
+            assert isinstance(H, operators._DFTOperator)
+            rng = np.random.default_rng(seed)
+            planted = H.apply(generate_signal(H.structure, k, 800 + seed))
+            noise = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+            for y in (planted, planted + 0.3 * noise, noise):
+                res = hihtp(H, y, k, cfg)
+                stops.add(res.stop_reason)
+                self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
+                res = htp_flat(H, y, 6, cfg)
+                self.assert_matches_reference(res, H, y, flat_top_k(H.structure, 6), cfg)
+        # a cycle skip among them
+        assert stops == {STOP_RESIDUAL, STOP_SUPPORT_REPEAT, STOP_MAX_ITERS}

@@ -26,6 +26,8 @@ def _bench_pairs():
 
 def _checkout(root: Path, fail_seed: int) -> Path:
     (root / "perfbench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "src" / "package.py").write_text("VALUE = 1\n")
     (root / "perfbench" / "run.py").write_text(STUB_RUN.replace("FAIL_SEED", str(fail_seed)))
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "trials_per_s", "better": "higher"}]}))
@@ -46,6 +48,11 @@ def test_bench_pairs_exits_zero_when_every_run_passes(tmp_path):
     code, doc = _main(tmp_path, change_fails_on=-1)
     assert code == 0
     assert [p["change"]["exit_status"] for p in doc["pairs"]] == [0, 0]
+    # both checkouts were byte-compiled before the first pair
+    for side in ("parent", "change"):
+        for module in ("src/package", "perfbench/run"):
+            folder, name = module.split("/")
+            assert list((tmp_path / side / folder / "__pycache__").glob(f"{name}.*.pyc"))
 
 
 def test_bench_pairs_writes_the_file_then_fails_on_a_failed_run(tmp_path, capsys):

@@ -4,7 +4,10 @@
         --seeds 61-70 --out BENCH_N_NAME.json [--seconds 35]
 
 Each DIR is a source checkout, e.g. `git archive` of a commit unpacked into
-an empty directory.  Pair i runs `python3 perfbench/run.py --workload NAME
+an empty directory.  Both are byte-compiled (`python -m compileall -q src
+perfbench`) before the first pair: under PYTHONDONTWRITEBYTECODE a checkout
+holding stale .pyc files recompiles on every import, which reads as
+setup_s.  Pair i runs `python3 perfbench/run.py --workload NAME
 --seed S --seconds T` in both checkouts, the parent first when i is even
 and the change first when i is odd, so drift in the host's load falls on
 both sides alike.  The output records every run's end-to-end metrics and
@@ -58,6 +61,9 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    for side in SIDES:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=getattr(args, side), check=True)
     pairs, first, failed = [], None, []
     for i, seed in enumerate(args.seeds):
         pair = {"seed": seed}
