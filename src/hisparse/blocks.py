@@ -149,10 +149,18 @@ class HiSupport:
     within-block coordinate tuple.  Coordinates are listed even when the
     vector value there is exactly zero, so the support cardinality produced
     by thresholding is deterministic.
+
+    A support built by hi_threshold, of_columns or _of_sorted also keeps the
+    read-only array of its ascending global columns and the BlockStructure
+    they index, which column_indices returns for that same structure.
+    Equality and hashing look at active_blocks and entries only.
     """
 
     active_blocks: tuple[int, ...]
     entries: dict[int, tuple[int, ...]]
+    _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _columns_of: BlockStructure | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted(int(b) for b in self.active_blocks))
@@ -177,15 +185,27 @@ class HiSupport:
         """The support covering the ascending, distinct, in-range global
         coordinates cols (an intp array), plus the blocks in idle, which
         hold none of them, as active blocks with no coordinates.  Built
-        canonical, skipping the sorting and conversion of __post_init__."""
+        canonical by _canonical, which keeps cols, skipping the sorting and
+        conversion of __post_init__."""
         owner, local, runs = structure.runs(cols)
         blocks, local = owner.tolist(), local.tolist()
         entries = {blocks[lo]: tuple(local[lo:hi]) for lo, hi in runs}
         if idle:
             entries = {b: entries.get(b, ()) for b in sorted(entries.keys() | set(idle))}
+        return cls._canonical(structure, cols, entries)
+
+    @classmethod
+    def _canonical(cls, structure: BlockStructure, cols: np.ndarray, entries: dict) -> "HiSupport":
+        """The support with the canonical entries (keys ascending, each
+        tuple ascending) that cover the ascending global columns cols of
+        structure, an intp array that the support keeps and makes
+        read-only."""
+        cols.flags.writeable = False
         support = object.__new__(cls)
         object.__setattr__(support, "active_blocks", tuple(entries))
         object.__setattr__(support, "entries", entries)
+        object.__setattr__(support, "_columns", cols)
+        object.__setattr__(support, "_columns_of", structure)
         return support
 
     @classmethod
@@ -218,8 +238,12 @@ class HiSupport:
                 raise IndexError(f"coordinate {bad} out of range for block {b} (size {n})")
 
     def column_indices(self, structure: BlockStructure) -> np.ndarray:
-        """Sorted global coordinate indices covered by this support."""
+        """Sorted global coordinate indices covered by this support: the
+        stored read-only array when structure is the one the support was
+        built on, else a new array."""
         self.validate_for(structure)
+        if structure is self._columns_of:
+            return self._columns
         cols = list(map(self.entries.__getitem__, self.active_blocks))
         counts = list(map(len, cols))
         local = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(counts))
@@ -272,7 +296,9 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     keeps its entries above t plus, in index order, as many entries equal
     to t as fill sigma -- the first sigma of a stable descending sort.
     Scores are row sums of the kept squared magnitudes in ascending
-    coordinate order, as a per-block loop would add them.
+    coordinate order, as a per-block loop would add them.  The support is
+    built from the winners and keeps their kept columns, which the refit
+    reads back through column_indices.
     """
     st = x.structure
     scores, picked, slots = _block_scores(x, k)
@@ -282,7 +308,13 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     out = BlockVector.zeros(st)
     kept = np.concatenate(cols)  # ascending: winners are, and so is each row
     out.coeffs[kept] = x.coeffs[kept]
-    return out, HiSupport._of_sorted(st, kept, [i for i in winners if not k.sigma[i]])
+    # winner b holds the next sigma_b of kept: a sigma_b = 0 winner gets ()
+    local = (kept - st.starts[st.owner[kept]]).tolist()
+    entries, lo = {}, 0
+    for b in winners:
+        entries[b] = tuple(local[lo : lo + k.sigma[b]])
+        lo += k.sigma[b]
+    return out, HiSupport._canonical(st, kept, entries)
 
 
 def _block_scores(x: BlockVector, k: HiSparsity):

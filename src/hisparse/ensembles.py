@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-# The n x n DFT matrix is cached only while it holds at most this many
-# entries (16 MiB at complex128); larger n evaluate the entries they need.
+# The scaled n x n DFT matrix is cached only while it holds at most this
+# many entries (16 MiB at complex128); larger n evaluate the entries they
+# need.
 DFT_CACHE_MAX_ENTRIES = 1 << 20
 
 
@@ -74,26 +75,31 @@ def _dft_phases(rows, cols, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _dft_matrix(n: int) -> np.ndarray:
-    """The read-only unscaled n x n DFT matrix."""
+def _dft_table(n: int, m: int) -> np.ndarray:
+    """The read-only n x n DFT matrix scaled by 1/sqrt(m), the scale of an
+    m-row draw."""
     k = np.arange(n)
     F = _dft_phases(k[:, None], k, n)
+    F /= math.sqrt(m)  # in place: no second n x n buffer at the peak
     F.flags.writeable = False
     return F
 
 
-def dft_entries(rows, cols, n: int) -> np.ndarray:
-    """A new array of the entries (r, k) of the unscaled n x n DFT, for the
-    integer arrays rows and cols broadcast together.
+def dft_entries(rows, cols, n: int, m: int) -> np.ndarray:
+    """A new array of the entries (r, k) of the n x n DFT scaled by
+    1/sqrt(m), for the integer arrays rows and cols broadcast together.
 
-    They are read from the DFT matrix, which is cached for the last few n
-    and costs 16*n^2 bytes per cached n (625 KiB at n = 200).  Past
-    DFT_CACHE_MAX_ENTRIES entries (n > 1024) they are evaluated.  Both
-    evaluate exp of the same float phase r*k*(-2*pi*i/n), so they are
+    They are read from the scaled DFT matrix, which is cached for the last
+    few (n, m) and costs 16*n^2 bytes per cached pair (625 KiB at n = 200).
+    Past DFT_CACHE_MAX_ENTRIES entries (n > 1024) they are evaluated and
+    then divided by sqrt(m).  Both evaluate exp of the same float phase
+    r*k*(-2*pi*i/n) and divide that value by the same sqrt(m), so they are
     bit-identical."""
     if n * n <= DFT_CACHE_MAX_ENTRIES:
-        return _dft_matrix(n)[rows, cols]
-    return _dft_phases(rows, cols, n)
+        return _dft_table(n, m)[rows, cols]
+    F = _dft_phases(rows, cols, n)
+    F /= math.sqrt(m)
+    return F
 
 
 def dft_rows(m: int, n: int, seed) -> np.ndarray:
@@ -109,11 +115,11 @@ def dft_block(rows: np.ndarray, n: int, width: int) -> np.ndarray:
     """The given rows of the n x n DFT on its first `width` columns, scaled
     by 1/sqrt(m) for m = len(rows): entry (r, k) is
     exp(-2*pi*i*rows[r]*k/n)/sqrt(m)."""
+    m = len(rows)
     if n * n <= DFT_CACHE_MAX_ENTRIES:
-        F = _dft_matrix(n)[rows, :width]  # a row take, cheaper than dft_entries' gather
-    else:
-        F = _dft_phases(rows[:, None], np.arange(width), n)
-    F /= math.sqrt(len(rows))
+        return _dft_table(n, m)[rows, :width]  # a row take, cheaper than dft_entries' gather
+    F = _dft_phases(rows[:, None], np.arange(width), n)
+    F /= math.sqrt(m)
     return F
 
 

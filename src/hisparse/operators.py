@@ -248,14 +248,12 @@ class _DFTOperator(HierarchicalOperator):
         return BlockVector(self._structure, out)
 
     def _gather(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """As HierarchicalOperator._gather, from the DFT entries: the same
-        bits as the dense B_b[:, c]."""
+        """As HierarchicalOperator._gather, read from the scaled DFT
+        entries: the same bits as the dense B_b[:, c]."""
         st = self._structure
         cols = np.arange(st.total_dim) if cols is None else np.asarray(cols, dtype=np.intp)
         owner = st.owner[cols]
-        inner = dft_entries(self.rows[owner].T, self._local(cols), self.n)
-        inner /= math.sqrt(self.inner_rows)
-        return inner, owner
+        return dft_entries(self.rows[owner].T, self._local(cols), self.n, self.inner_rows), owner
 
 
 def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:

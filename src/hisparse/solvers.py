@@ -8,6 +8,8 @@ baseline that ignores the block structure.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +41,15 @@ class SolverConfig:
     residual_tol: float = 1e-7
 
     def __post_init__(self):
+        # bool is an Integral, and True would read as one iteration
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be >= 0")
+        # inf would stop every solve at its first refit as converged, and
+        # nan would never stop one
+        if not (math.isfinite(self.residual_tol) and self.residual_tol >= 0):
+            raise ValueError(f"residual_tol must be finite and >= 0, got {self.residual_tol!r}")
 
 
 @dataclass(eq=False)

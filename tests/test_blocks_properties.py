@@ -10,6 +10,7 @@ from hisparse.blocks import (
     BlockStructure,
     BlockVector,
     HiSparsity,
+    HiSupport,
     block_norms,
     hi_threshold,
     is_hi_sparse,
@@ -59,6 +60,46 @@ def test_threshold_is_best_approximation_on_mixed_blocks(case):
     out, _ = hi_threshold(x, k)
     res = np.linalg.norm(x.coeffs - out.coeffs)
     assert abs(res - best_hi_approx_residual(x, k)) <= 1e-12 * (1.0 + np.linalg.norm(x.coeffs))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(block_vectors(), st.booleans())
+def test_threshold_support_is_the_canonical_one(case, every_block):
+    # hi_threshold builds its support straight from the winners; it must be
+    # the support _of_sorted builds from the same kept columns and idle
+    # (sigma_i = 0) winners, and keep those columns for column_indices
+    x, k = case
+    if every_block:
+        k = HiSparsity(len(k.sigma), k.sigma)  # s = N
+    structure = x.structure
+    _, support = hi_threshold(x, k)
+    _, want = hi_threshold_by_blocks(x, k)
+    kept = want.column_indices(structure)  # rebuilt: want is built by HiSupport(...)
+    idle = [b for b in want.active_blocks if not k.sigma[b]]
+    canonical = HiSupport._of_sorted(structure, kept.copy(), idle)
+    assert support == canonical and hash(support) == hash(canonical)
+    assert support.active_blocks == canonical.active_blocks
+    assert list(support.entries.items()) == list(canonical.entries.items())
+
+    cols = support.column_indices(structure)
+    assert cols.dtype == np.intp and not cols.flags.writeable
+    assert cols.tobytes() == kept.tobytes()
+    # an equal but distinct structure takes the rebuild path
+    twin = BlockStructure(structure.block_sizes)
+    rebuilt = support.column_indices(twin)
+    assert twin == structure and rebuilt is not cols
+    assert rebuilt.tobytes() == kept.tobytes()
+    # a structure the support does not fit is still refused
+    last = support.active_blocks[-1]
+    if last > 0:
+        with pytest.raises(IndexError):
+            support.column_indices(BlockStructure(structure.block_sizes[:last]))
+    top = support.entries[last][-1] if support.entries[last] else 0
+    if top > 0:
+        sizes = list(structure.block_sizes)
+        sizes[last] = top
+        with pytest.raises(IndexError):
+            support.column_indices(BlockStructure(tuple(sizes)))
 
 
 def test_tied_scores_across_groups_keep_lower_blocks():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hisparse import ensembles
 from hisparse.ensembles import (
     DFT_CACHE_MAX_ENTRIES,
     as_rng,
@@ -105,6 +106,18 @@ class TestSubsampledDft:
             assert F.dtype == want.dtype and F.tobytes() == want.tobytes()
             F[:] = 0  # a draw is the caller's own array, not a view of the cache
             assert subsampled_dft(m, n, seed).tobytes() == want.tobytes()
+
+
+    def test_dft_table_keyed_by_n_and_m(self):
+        # one read-only table per (n, m), already scaled by 1/sqrt(m)
+        k = np.arange(32)
+        F = np.exp(np.outer(k, k) * (-2j * np.pi / 32))
+        for m in (16, 4, 9):
+            table = ensembles._dft_table(32, m)
+            assert table is ensembles._dft_table(32, m) and not table.flags.writeable
+            assert table.tobytes() == (F / math.sqrt(m)).tobytes()
+        assert ensembles._dft_table(32, 16) is not ensembles._dft_table(32, 4)
+        assert ensembles._dft_table(32, 4) is not ensembles._dft_table(16, 4)
 
 
 class TestRestrictColumns:

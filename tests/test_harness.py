@@ -544,6 +544,19 @@ class TestConfig:
             ExperimentConfig.from_dict({**tiny_detection_config().to_dict(),
                                         "short_blocks": list(short_blocks)})
 
+    @pytest.mark.parametrize("field,value", [("residual_tol", math.nan),
+                                             ("residual_tol", math.inf),
+                                             ("max_iters", 2.5)])
+    def test_degenerate_solver_values_in_json_rejected(self, tmp_path, field, value):
+        # json writes and reads NaN and Infinity by default, so a config file
+        # can carry them into SolverConfig
+        path = tmp_path / "cfg.json"
+        d = tiny_grid_config().to_dict()
+        d["solver"][field] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(path)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"scenario": "recovery-grid", "bogus": 1})

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hisparse.blocks import BlockStructure, BlockVector
-from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq, subsampled_dft
+from hisparse.ensembles import (
+    dft_block,
+    dft_rows,
+    gaussian_matrix,
+    spawn_seedseq,
+    subsampled_dft,
+)
 from hisparse.errors import DimensionError
 from hisparse import operators
 from hisparse.operators import (
@@ -292,6 +298,22 @@ class TestDftOperator:
             assert H.dense_columns(cols).tobytes() == D.dense_columns(cols).tobytes()
         if H.total_dim <= 2000:
             assert H.gram().tobytes() == D.gram().tobytes()
+
+    @pytest.mark.parametrize("m,n", [(50, 200), (16, 32), (3, 1030)])
+    def test_gathered_columns_are_dft_block_columns(self, m, n):
+        # the gather reads entries of the DFT table scaled by 1/sqrt(m), or
+        # past the cache (n = 1030) evaluates and then divides them: either
+        # way dft_block's bits, which divides after its row take
+        A, rows = dft_instance(2, 3, m, n, seed=5)
+        H = dft_operator(A, rows, (n,) * 3)
+        want = np.concatenate([dft_block(r, n, n) for r in rows], axis=1)
+        rng = np.random.default_rng(5)
+        for cols in (None, np.sort(rng.choice(H.total_dim, size=40, replace=False))):
+            inner, owner = H._gather(cols)
+            expect = want if cols is None else want[:, cols]
+            assert inner.dtype == np.complex128 and inner.tobytes() == expect.tobytes()
+            np.testing.assert_array_equal(owner, H.structure.owner if cols is None
+                                          else H.structure.owner[cols])
 
     @pytest.mark.parametrize("case", ["desk", "detection-windowed", "uncached", "mixed"])
     def test_apply_gathered_is_apply_bitwise(self, case):

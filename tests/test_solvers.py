@@ -410,6 +410,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("residual_tol", np.inf),  # every solve would stop converged at its first refit
+        ("residual_tol", np.nan),  # the residual stop would never fire
+        ("max_iters", 2.5),  # would fail later in range(), inside a trial
+        ("max_iters", True),  # would run as one iteration
+    ])
+    def test_degenerate_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_integral_and_zero_values_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(3), residual_tol=0)
+        assert cfg.max_iters == 3 and cfg.residual_tol == 0
+
 
 class TestNonFiniteMeasurements:
     def test_hihtp_rejects_nan(self):
@@ -423,6 +437,58 @@ class TestNonFiniteMeasurements:
         y[3] = complex(np.inf, 0.0)
         with pytest.raises(ValueError, match="finite"):
             htp_flat(H, y, 4)
+
+
+class TestTracedEntryPoints:
+    """perfbench traces the pursuit through solvers.hi_threshold and
+    HierarchicalOperator.adjoint_apply; a pursuit that bypassed either
+    attribute would read as a per-layer gain.  Each executed iteration
+    calls each exactly once (the first adjoint gives H^* y)."""
+
+    def test_one_call_each_per_iteration_on_matrix_free_detection(self, monkeypatch):
+        calls = {"hi_threshold": 0, "adjoint_apply": 0, "refit": 0}
+        threshold, adjoint = solvers.hi_threshold, HierarchicalOperator.adjoint_apply
+        refit = solvers._restricted_lstsq
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(solvers, "hi_threshold", counting("hi_threshold", threshold))
+        monkeypatch.setattr(HierarchicalOperator, "adjoint_apply",
+                            counting("adjoint_apply", adjoint))
+        monkeypatch.setattr(solvers, "_restricted_lstsq", counting("refit", refit))
+        # the paper's detection shape: 20 blocks of 200, the first 10 cut
+        # to 10-column windows in the mixed mode
+        M, N, m, n = 10, 20, 50, 200
+        k = HiSparsity.uniform(6, 5, N)
+        windows = (10,) * (N // 2) + (n,) * (N - N // 2)
+        stops = set()
+        for seed in range(3):
+            A = gaussian_matrix(M, N, spawn_seedseq(900 + seed, 0))
+            rows = np.array([dft_rows(m, n, spawn_seedseq(900 + seed, 1, i)) for i in range(N)])
+            H_full = dft_operator(A, rows, (n,) * N)
+            H_mixed = dft_operator(A, rows, (n,) * N, windows)
+            clean = H_full.apply(generate_signal(H_full.structure, k, 950 + seed))
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal(H_full.out_dim) + 1j * rng.standard_normal(H_full.out_dim)
+            for y in (clean, clean + 0.5 * noise, noise):
+                for H in (H_full, H_mixed):
+                    assert isinstance(H, operators._DFTOperator)
+                    for key in calls:
+                        calls[key] = 0
+                    res = hihtp(H, y, k, SolverConfig(max_iters=30))
+                    stops.add(res.stop_reason)
+                    # an iteration ends in a refit, or in the break on a
+                    # support refit before (a repeat, or a cycle whose tail
+                    # is skipped: then fewer iterations ran than reported)
+                    executed = calls["refit"] + (calls["refit"] < res.iterations)
+                    if executed < res.iterations:
+                        assert res.stop_reason == STOP_MAX_ITERS
+                    assert calls["hi_threshold"] == calls["adjoint_apply"] == executed
+        assert stops == {STOP_RESIDUAL, STOP_SUPPORT_REPEAT, STOP_MAX_ITERS}
 
 
 class TestCycleSkip:

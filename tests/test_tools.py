@@ -17,11 +17,15 @@ STUB_RUN = textwrap.dedent("""
 """)
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _tool("bench_pairs")
 
 
 def _checkout(root: Path, fail_seed: int) -> Path:
@@ -62,3 +66,14 @@ def test_bench_pairs_writes_the_file_then_fails_on_a_failed_run(tmp_path, capsys
         "metrics": {"trials_per_s": 12.0}, "checks": {"ok": False}, "exit_status": 1,
     }
     assert "seed 2 change" in capsys.readouterr().err
+
+
+def test_layer_timing_times_every_unit_of_an_instance():
+    tool = _tool("layer_timing")
+    assert list(tool.instances()) == ["detection-uniform", "detection-mixed", "recovery-25-20"]
+    H, y, k = tool.instances()["detection-mixed"]()
+    got = tool.time_units(H, y, k, repeat=1, number=1)
+    assert got["support_size"] == 30 and got["hihtp_iterations"] >= 1
+    units = ("adjoint_apply", "hi_threshold", "column_indices", "refit", "hihtp_per_iteration")
+    assert set(got) == {"support_size", "hihtp_iterations"} | {f"{u}_us" for u in units}
+    assert all(got[f"{u}_us"] > 0 for u in units)

@@ -1,0 +1,113 @@
+"""Min-of-repeats timeit figures for the HiHTP layer units on the paper's
+operators, printed as one JSON document.
+
+    python3 tools/layer_timing.py [--repeat 7]
+
+Imports hisparse from the `src` of the checkout holding this file, with
+BLAS pinned to one thread.  Three instances, each one paper-scale trial:
+
+- detection-uniform and detection-mixed: the block-detection sweep's
+  operator at M = 10 (20 blocks of 200 DFT columns, 50 rows each; in the
+  mixed mode the first 10 blocks are cut to their first 10 columns),
+  budget (6, 5), 0 dB;
+- recovery-25-20: the recovery grid's cell (s, sigma) = (25, 20), M = 40,
+  50 blocks of 100 columns, 50 rows each, 10 dB.
+
+For each, in microseconds per call: H.adjoint_apply(y); hi_threshold of
+the first gradient H^* y; column_indices of the support it returns; the
+refit on that support (|S| = 30 for detection, 500 for recovery); and one
+whole hihtp solve divided by its iterations (each instance stops on a
+repeated support, so every counted iteration runs).  Each figure is the minimum
+over `repeat` timeit runs of a loop count from Timer.autorange (at least
+0.2 s per run), so it reads the unloaded cost on a shared host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import timeit
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from hisparse import solvers  # noqa: E402
+from hisparse.blocks import HiSparsity, hi_threshold  # noqa: E402
+from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq  # noqa: E402
+from hisparse.harness.signals import add_noise, generate_signal  # noqa: E402
+from hisparse.operators import dft_operator  # noqa: E402
+
+
+def _instance(seed, M, N, m, n, s, sigma, snr_db, windows=None):
+    """(H, y, k): a planted (s, sigma)-sparse signal, measured and noised."""
+    A = gaussian_matrix(M, N, spawn_seedseq(seed, 0))
+    rows = np.array([dft_rows(m, n, spawn_seedseq(seed, 1, i)) for i in range(N)])
+    H = dft_operator(A, rows, (n,) * N, windows)
+    k = HiSparsity.uniform(s, sigma, N)
+    y = add_noise(H.apply(generate_signal(H.structure, k, spawn_seedseq(seed, 2))),
+                  snr_db, spawn_seedseq(seed, 3))
+    return H, y, k
+
+
+def instances() -> dict:
+    """The named paper-scale instances, each a zero-argument builder."""
+    return {
+        "detection-uniform": lambda: _instance(2, 10, 20, 50, 200, 6, 5, 0.0),
+        "detection-mixed": lambda: _instance(2, 10, 20, 50, 200, 6, 5, 0.0,
+                                             (10,) * 10 + (200,) * 10),
+        "recovery-25-20": lambda: _instance(2, 40, 50, 50, 100, 25, 20, 10.0),
+    }
+
+
+def _best_us(fn, repeat: int, number: int | None) -> float:
+    timer = timeit.Timer(fn)
+    number = number or timer.autorange()[0]
+    return min(timer.repeat(repeat, number)) / number * 1e6
+
+
+def time_units(H, y, k, repeat: int = 7, number: int | None = None) -> dict:
+    """The layer figures of one instance, in microseconds per call
+    (number None: autorange's loop count)."""
+    hy = H.adjoint_apply(y)
+    support = hi_threshold(hy, k)[1]
+    res = solvers.hihtp(H, y, k)
+    if res.stop_reason == solvers.STOP_MAX_ITERS:
+        # a skipped cycle tail counts iterations that never ran
+        raise RuntimeError("the instance's solve must not stop at max_iters")
+    return {
+        "support_size": support.num_entries,
+        "hihtp_iterations": res.iterations,
+        "adjoint_apply_us": _best_us(lambda: H.adjoint_apply(y), repeat, number),
+        "hi_threshold_us": _best_us(lambda: hi_threshold(hy, k), repeat, number),
+        "column_indices_us": _best_us(lambda: support.column_indices(H.structure),
+                                      repeat, number),
+        "refit_us": _best_us(lambda: solvers._restricted_lstsq(H, y, support, hy.coeffs),
+                             repeat, number),
+        "hihtp_per_iteration_us": _best_us(lambda: solvers.hihtp(H, y, k), repeat, number)
+        / res.iterations,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--repeat", type=int, default=7)
+    args = p.parse_args(argv)
+    doc = {
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "units": {name: time_units(*build(), repeat=args.repeat)
+                  for name, build in instances().items()},
+    }
+    print(json.dumps(doc, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
