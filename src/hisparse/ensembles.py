@@ -71,7 +71,9 @@ def gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
 def _dft_phases(rows, cols, n: int) -> np.ndarray:
     """exp(-2*pi*i*r*k/n) for the integer arrays rows and cols broadcast
     together: the entries (r, k) of the unscaled n x n DFT."""
-    return np.exp(rows * cols * (-2j * np.pi / n))
+    phases = rows * cols * (-2j * np.pi / n)
+    # in place: the phases and their exp are never both alive
+    return np.exp(phases, out=phases)
 
 
 @functools.lru_cache(maxsize=4)

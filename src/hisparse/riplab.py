@@ -98,22 +98,42 @@ def _spectral_norm(herm: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).max(axis=-1, initial=0.0)
 
 
+def _batch_last_index(rows: np.ndarray, side: int) -> np.ndarray:
+    """idx (width, width, batch) with idx[i, j, b] the raveled position of
+    entry (rows[b, i], rows[b, j]) of a side x side matrix, built in place
+    from one contiguous copy of rows.T, so the reductions over i and j run
+    along the batch."""
+    cols = np.ascontiguousarray(rows.T)
+    out = np.empty((cols.shape[0],) + cols.shape, dtype=np.intp)
+    idx = np.multiply(cols[:, None, :], side, out=out)
+    idx += cols
+    return idx
+
+
+def _norm_upper_bounds(sub: np.ndarray) -> np.ndarray:
+    """An upper bound on ||M||_2 for each Hermitian M of a stack, read from
+    sub = |M| laid out (width, width, batch): the smaller of the largest
+    absolute row sum (Gershgorin) and the Frobenius norm."""
+    gershgorin = sub.sum(axis=1).max(axis=0, initial=0.0)
+    return np.minimum(gershgorin, np.sqrt(np.einsum("ijb,ijb->b", sub, sub)))
+
+
 def _live_rows(mag: np.ndarray, flat: np.ndarray, idx: np.ndarray, best: float) -> np.ndarray:
     """Indices of the supports in a chunk that could attain the maximum
     deviation, given the best deviation seen before them.
 
-    idx (batch, width, width) indexes the restricted matrices of the chunk
-    in flat, the raveled Gram matrix, and mag = |flat|, so the bounds read
-    floats and only one restricted matrix is gathered as complex.  For
-    Hermitian M, max |M_ij| is a lower and the largest absolute row sum
-    (Gershgorin) an upper bound on ||M||_2.  The floor is the largest of
-    best, the largest lower bound and the exact deviation of the support
+    idx (width, width, batch) from _batch_last_index indexes the restricted
+    matrices of the chunk in flat, the raveled Gram matrix, and mag =
+    |flat|, so the bounds read floats and only one restricted matrix is
+    gathered as complex.  For Hermitian M, max |M_ij| is a lower bound on
+    ||M||_2 and _norm_upper_bounds an upper one.  The floor is the largest
+    of best, the largest lower bound and the exact deviation of the support
     with the largest upper bound (usually the maximizer); a support whose
     upper bound falls below the floor, less a roundoff margin, cannot
     attain the maximum."""
     sub = mag.take(idx)
-    upper = sub.sum(axis=2).max(axis=1, initial=0.0)
-    top = _spectral_norm(flat.take(idx[np.argmax(upper)]))
+    upper = _norm_upper_bounds(sub)
+    top = _spectral_norm(flat.take(idx[:, :, np.argmax(upper)]))
     floor = max(best, float(sub.max(initial=0.0)), float(top))
     return np.flatnonzero(upper >= floor - 1e-12 * (1.0 + floor))
 
@@ -151,11 +171,13 @@ def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
     padding.  Each chunk of at most chunk supports gathers its restricted
     matrices from gram.  A chunk of more than _PRUNE_MIN rows is first
     bounded from |gram|, a float table made once per call when a chunk is
-    first pruned, and only its _live_rows are gathered as complex and reach
-    eigvalsh (a smaller chunk costs less to diagonalize whole than to
-    prune).  The first support attaining the maximum wins ties, so for a
-    lexicographic enumeration the argmax is the lexicographically smallest
-    maximizer.  Returns (delta, argmax row, count).
+    first pruned, with its index laid out (width, width, batch) so the
+    bounds reduce along the batch, and only its _live_rows are gathered as
+    complex and reach eigvalsh (a smaller chunk costs less to diagonalize
+    whole than to prune).  The first support attaining the maximum wins
+    ties, so for a lexicographic enumeration the argmax is the
+    lexicographically smallest maximizer.  Returns (delta, argmax row,
+    count).
     """
     side = gram.shape[0]
     flat, cols = gram.ravel(), side - 1
@@ -164,17 +186,21 @@ def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
     count = 0
     for rows in _chunks(batches, chunk):
         count += len(rows)
-        idx = rows[:, :, None] * side + rows[:, None, :]  # (batch, width, width)
         if len(rows) > _PRUNE_MIN:
             if mag is None:
                 mag = np.abs(flat)
+            idx = _batch_last_index(rows, side)
             live = _live_rows(mag, flat, idx, best_delta)
+            # the live columns as a contiguous copy (idx[:, :, live] is not,
+            # and flat.take would copy it again); rebinding drops the full
+            # index before the gather, or before the next chunk's is built
+            idx = idx.take(live, axis=2)
             if not live.size:
                 continue
-            idx = idx[live]
+            devs = _spectral_norm(flat.take(idx).transpose(2, 0, 1))
         else:
             live = np.arange(len(rows))
-        devs = _spectral_norm(flat.take(idx))
+            devs = _spectral_norm(flat.take(rows[:, :, None] * side + rows[:, None, :]))
         j = int(np.argmax(devs))
         if devs[j] > best_delta:
             i = int(live[j])

@@ -75,6 +75,32 @@ def _scatter(H: HierarchicalOperator, cols: np.ndarray, values: np.ndarray) -> B
 GRAM_DIAG_RATIO = 1e-3
 
 
+# Rows per diagonal block of the triangular substitution in _gram_solve.
+_TRI_BLOCK = 64
+
+
+def _triangular_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """T^{-1} b for a lower (or upper) triangular T, by blocked substitution
+    (Golub & Van Loan, Matrix Computations, sec. 3.1): each diagonal block of
+    at most _TRI_BLOCK rows is one np.linalg.solve, after one matmul takes
+    the rows already solved off its right-hand side.  Up to _TRI_BLOCK rows
+    it is the single solve np.linalg.solve(T, b)."""
+    n = T.shape[0]
+    if n <= _TRI_BLOCK:
+        return np.linalg.solve(T, b)
+    x = np.empty(n, dtype=np.result_type(T, b))
+    starts = range(0, n, _TRI_BLOCK)
+    for lo in starts if lower else reversed(starts):
+        hi = min(lo + _TRI_BLOCK, n)
+        rhs = b[lo:hi]
+        if lower and lo:
+            rhs = rhs - T[lo:hi, :lo] @ x[:lo]
+        elif not lower and hi < n:
+            rhs = rhs - T[lo:hi, hi:] @ x[hi:]
+        x[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi], rhs)
+    return x
+
+
 def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """G^{-1} b by Cholesky for Hermitian G, or None when the factorization
     fails or min/max diag(L) < GRAM_DIAG_RATIO."""
@@ -85,9 +111,9 @@ def _gram_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     d = L.diagonal().real
     if d.min() < GRAM_DIAG_RATIO * d.max():
         return None
-    w = np.linalg.solve(L, b)
+    w = _triangular_solve(L, b, lower=True)
     # L^* z = w as L^T conj(z) = conj(w): L.T is a view, no conjugated copy
-    return np.conj(np.linalg.solve(L.T, np.conj(w)))
+    return np.conj(_triangular_solve(L.T, np.conj(w), lower=False))
 
 
 def _restricted_lstsq(

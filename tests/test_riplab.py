@@ -10,6 +10,7 @@ from hisparse.ensembles import gaussian_matrix
 from hisparse.errors import BudgetError
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
+    _PRUNE_MIN,
     _combinations,
     _deviation_gram,
     _hierarchical_batches,
@@ -331,6 +332,38 @@ class TestArgmaxRules:
         assert est.delta == 3.0
         assert est.argmax_support == HiSupport((0, 1), {0: (0, 1), 1: (0, 4)})
         assert est.supports_examined == 60
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rank_one_deviation_pruned_as_unpruned(self, tied):
+        # columns of D = [I; u^*] have D^* D - I = u u^*, so every restricted
+        # deviation is rank one with spectral norm ||u_T||^2, which the
+        # Frobenius bound attains; with |u_i| all equal every support ties
+        # up to eigensolver roundoff, which the pruning margin must cover.
+        # A 1 x N mixing row of ones and the column blocks of D as B_i give
+        # the hierarchical operator the same Gram matrix.  Pruned chunks of
+        # 4096 rows and unpruned ones of _PRUNE_MIN rows agree exactly
+        rng = np.random.default_rng(5)
+        N, n, s, sig = 3, 5, 2, 2
+        mags = np.full(N * n, 0.5) if tied else rng.uniform(0.2, 1.0, N * n)
+        u = mags * np.exp(2j * np.pi * rng.random(N * n))
+        D = np.vstack([np.eye(N * n), u.conj()[None, :]])
+        weights = np.abs(u) ** 2
+        flat = flat_gram(D)
+        H = HierarchicalOperator(np.ones((1, N)), tuple(D[:, b * n : (b + 1) * n] for b in range(N)))
+        k = HiSparsity.uniform(s, sig, N)
+        hier = _deviation_gram(H.total_dim, H.gram)
+        np.testing.assert_allclose(hier, flat, rtol=0, atol=1e-15)
+        per_block = np.sort(np.sort(weights.reshape(N, n), axis=1)[:, -sig:].sum(axis=1))
+        cases = [
+            (flat, lambda: [_combinations(N * n, 3)], np.sort(weights)[-3:].sum(), 455),
+            (hier, lambda: _hierarchical_batches(H.structure, k), per_block[-s:].sum(), 300),
+        ]
+        for gram, batches, want, count in cases:
+            pruned = _max_deviation(gram, batches(), 4096)
+            whole = _max_deviation(gram, batches(), _PRUNE_MIN)
+            assert pruned[0] == whole[0] == pytest.approx(want, rel=1e-12)
+            assert pruned[1].tolist() == whole[1].tolist()
+            assert pruned[2] == whole[2] == count
 
     def test_combinations_rows(self):
         np.testing.assert_array_equal(

@@ -11,6 +11,8 @@ from hisparse.blocks import HiSparsity
 from hisparse.operators import HierarchicalOperator, kronecker_operator
 from hisparse.riplab import (
     _PRUNE_MIN,
+    _norm_upper_bounds,
+    _spectral_norm,
     _deviation_gram,
     _hierarchical_batches,
     _max_deviation,
@@ -86,3 +88,31 @@ def test_pruning_changes_no_result(instance):
     assert pruned[0] == whole[0]
     assert pruned[1].tolist() == whole[1].tolist()
     assert pruned[2] == whole[2] == hierarchical_support_count(H.structure, k)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    st.integers(0, 6),
+    st.integers(1, 40),
+    st.sampled_from(["dense", "rank-one", "diagonal"]),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_last_upper_bound_holds(width, batch, kind, scale, seed):
+    """The Gershgorin/Frobenius bound of a (width, width, batch) magnitude
+    stack is at least the spectral norm of every Hermitian matrix in it, less
+    the pruning's roundoff margin.  Diagonal matrices make Gershgorin tight,
+    rank-one ones Frobenius."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((batch, width, width)) + 1j * rng.standard_normal((batch, width, width))
+    if kind == "dense":
+        M = X + X.conj().transpose(0, 2, 1)
+    elif kind == "rank-one":
+        M = X[:, :, :1] * X[:, :, :1].conj().transpose(0, 2, 1)
+    else:
+        M = X.real * np.eye(width)
+    M *= scale
+    exact = _spectral_norm(M)
+    upper = _norm_upper_bounds(np.ascontiguousarray(np.abs(M).transpose(1, 2, 0)))
+    assert upper.shape == (batch,)
+    assert np.all(upper >= exact - 1e-12 * (1.0 + exact))

@@ -205,6 +205,31 @@ class TestRefitRoutes:
         got = solvers._gram_solve(G, b)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("width", [128, 500])
+    def test_blocked_gram_solve_matches_lstsq(self, width):
+        # several diagonal blocks of the substitution; 2|S| rows, the
+        # tallest shape the Gram route refits, where cond(G) is largest.
+        # 1e-12 relative leaves a wide margin over the observed 4e-15
+        rng = np.random.default_rng(width)
+        X = rng.standard_normal((2 * width, width)) + 1j * rng.standard_normal((2 * width, width))
+        y = rng.standard_normal(2 * width) + 1j * rng.standard_normal(2 * width)
+        got = solvers._gram_solve(X.conj().T @ X, X.conj().T @ y)
+        want = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert width > solvers._TRI_BLOCK
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("width", [1, 30, 64])
+    def test_gram_solve_up_to_one_block_is_two_solves(self, width):
+        # at most _TRI_BLOCK columns the substitution is one solve per
+        # triangle, so refits of that size keep their bits
+        rng = np.random.default_rng(width)
+        X = rng.standard_normal((2 * width, width)) + 1j * rng.standard_normal((2 * width, width))
+        G = X.conj().T @ X
+        b = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        L = np.linalg.cholesky(G)
+        want = np.conj(np.linalg.solve(L.T, np.conj(np.linalg.solve(L, b))))
+        assert solvers._gram_solve(G, b).tobytes() == want.tobytes()
+
     def test_ls_failure_on_tall_support_with_duplicated_column(self, monkeypatch):
         # B_0 repeats its column 0 as column 1; the support holds both, so
         # Gram route declines it and lstsq's rank check flags it

@@ -77,3 +77,13 @@ def test_layer_timing_times_every_unit_of_an_instance():
     units = ("adjoint_apply", "hi_threshold", "column_indices", "refit", "hihtp_per_iteration")
     assert set(got) == {"support_size", "hihtp_iterations"} | {f"{u}_us" for u in units}
     assert all(got[f"{u}_us"] > 0 for u in units)
+
+
+def test_layer_timing_times_hirip_constant_exact():
+    tool = _tool("layer_timing")
+    H, k = tool.hirip_instance()
+    assert H.structure.block_sizes == (6,) * 6 and all(B is H.Bs[0] for B in H.Bs)
+    got = tool.time_hirip(H, k, repeat=1, number=1)
+    assert got["supports"] == 67_500
+    assert got["hirip_constant_exact_us"] > 0
+    assert got["supports_per_s"] == got["supports"] / got["hirip_constant_exact_us"] * 1e6

@@ -17,9 +17,16 @@ For each, in microseconds per call: H.adjoint_apply(y); hi_threshold of
 the first gradient H^* y; column_indices of the support it returns; the
 refit on that support (|S| = 30 for detection, 500 for recovery); and one
 whole hihtp solve divided by its iterations (each instance stops on a
-repeated support, so every counted iteration runs).  Each figure is the minimum
-over `repeat` timeit runs of a loop count from Timer.autorange (at least
-0.2 s per run), so it reads the unloaded cost on a shared host.
+repeated support, so every counted iteration runs).
+
+One exact-constants unit as well: hirip_constant_exact on theorem-verify's
+costliest enumeration shape (6 blocks of 6 columns sharing one block
+matrix, budget (3, 2): 67,500 supports), in microseconds per call and
+supports per second.
+
+Each figure is the minimum over `repeat` timeit runs of a loop count from
+Timer.autorange (at least 0.2 s per run), so it reads the unloaded cost on
+a shared host.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from hisparse import solvers  # noqa: E402
 from hisparse.blocks import HiSparsity, hi_threshold  # noqa: E402
 from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq  # noqa: E402
 from hisparse.harness.signals import add_noise, generate_signal  # noqa: E402
-from hisparse.operators import dft_operator  # noqa: E402
+from hisparse.operators import HierarchicalOperator, dft_operator  # noqa: E402
+from hisparse.riplab import hierarchical_support_count, hirip_constant_exact  # noqa: E402
 
 
 def _instance(seed, M, N, m, n, s, sigma, snr_db, windows=None):
@@ -63,6 +71,15 @@ def instances() -> dict:
                                              (10,) * 10 + (200,) * 10),
         "recovery-25-20": lambda: _instance(2, 40, 50, 50, 100, 25, 20, 10.0),
     }
+
+
+def hirip_instance():
+    """(H, k) of theorem-verify's costliest enumeration shape: an 8 x 6 mixing
+    matrix and one 8 x 6 block matrix shared by all 6 blocks, both complex
+    Gaussian with unit columns, and the budget (3, 2)."""
+    A = gaussian_matrix(8, 6, spawn_seedseq(2, 0))
+    B = gaussian_matrix(8, 6, spawn_seedseq(2, 1))
+    return HierarchicalOperator(A, (B,) * 6), HiSparsity.uniform(3, 2, 6)
 
 
 def _best_us(fn, repeat: int, number: int | None) -> float:
@@ -94,6 +111,15 @@ def time_units(H, y, k, repeat: int = 7, number: int | None = None) -> dict:
     }
 
 
+def time_hirip(H, k, repeat: int = 7, number: int | None = None) -> dict:
+    """hirip_constant_exact(H, k) in microseconds per call and supports
+    enumerated per second (number None: autorange's loop count)."""
+    supports = hierarchical_support_count(H.structure, k)
+    us = _best_us(lambda: hirip_constant_exact(H, k), repeat, number)
+    return {"supports": supports, "hirip_constant_exact_us": us,
+            "supports_per_s": supports / us * 1e6}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeat", type=int, default=7)
@@ -104,6 +130,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "units": {name: time_units(*build(), repeat=args.repeat)
                   for name, build in instances().items()},
+        "hirip_constant_exact": time_hirip(*hirip_instance(), repeat=args.repeat),
     }
     print(json.dumps(doc, indent=1))
     return 0
