@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..solvers import SolverConfig
@@ -54,21 +55,33 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if isinstance(self.M, int):
+        if isinstance(self.M, numbers.Integral):
             self.M = (self.M,)
-        else:
-            self.M = tuple(int(v) for v in self.M)
+        self.check()
+        self.M = tuple(int(v) for v in self.M)
         self.s_values = tuple(int(v) for v in self.s_values)
         self.sigma_values = tuple(int(v) for v in self.sigma_values)
         self.snr_db = tuple(float(v) for v in self.snr_db)
-        if not isinstance(self.block_lengths, int):
+        if isinstance(self.block_lengths, numbers.Integral):
+            self.block_lengths = int(self.block_lengths)
+        else:
             self.block_lengths = tuple(int(v) for v in self.block_lengths)
-        self.check()
 
     def check(self) -> None:
         """ValueError for a value no trial can run with.  Run on
         construction, and by each runner before any trial, so a field set
         after construction is refused up front as well."""
+        for name in ("M", "s_values", "sigma_values", "snr_db"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Number) or len(value) == 0:
+                raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
+        for name in ("M", "s_values", "sigma_values", "block_lengths", "N", "m", "trials",
+                     "front_width"):
+            value = getattr(self, name)
+            # bool is an Integral, and True would read as a count of one
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                   for v in ((value,) if isinstance(value, numbers.Number) else value)):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if min(self.M) < 1 or self.N < 1 or self.m < 1:

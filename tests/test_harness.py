@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,21 @@ def _no_trials(*args):
     ("snr_db", (10.0, -math.inf)),
     ("front_width", 0),
     ("front_width", -3),
+    # an empty sweep axis would run no trial and report success, and a
+    # scalar one (set after construction) failed with a bare TypeError
+    pytest.param("M", (), id="M-empty"),
+    pytest.param("s_values", (), id="s_values-empty"),
+    pytest.param("sigma_values", (), id="sigma_values-empty"),
+    pytest.param("snr_db", (), id="snr_db-empty"),
+    pytest.param("snr_db", 10.0, id="snr_db-scalar"),
+    pytest.param("s_values", 2, id="s_values-scalar"),
+    # a fractional count would be truncated, and a bool read as 0 or 1
+    pytest.param("s_values", (2.7,), id="s_values-fractional"),
+    pytest.param("sigma_values", (1, 1.5), id="sigma_values-fractional"),
+    pytest.param("M", (4.0,), id="M-float"),
+    pytest.param("block_lengths", 10.5, id="block_lengths-fractional"),
+    pytest.param("trials", 2.5, id="trials-fractional"),
+    pytest.param("N", True, id="N-bool"),
 ])
 def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
     # refused with a message naming the field, on construction and, for a
@@ -280,6 +296,14 @@ def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             run(cfg, threads=threads)
+
+
+def test_numpy_integer_counts_become_ints(tmp_path):
+    cfg = tiny_grid_config(M=np.int64(6), s_values=np.array([1, 2]), block_lengths=np.int64(10))
+    assert cfg.M == (6,) and cfg.s_values == (1, 2) and cfg.block_lengths == 10
+    assert all(type(v) is int for v in cfg.M + cfg.s_values + (cfg.block_lengths,))
+    cfg.to_json(tmp_path / "cfg.json")
+    assert ExperimentConfig.from_json(tmp_path / "cfg.json") == cfg
 
 
 class TestRecoveryGrid:
@@ -471,14 +495,13 @@ class TestTheoremVerify:
 
 class InlinePool:
     """Stands in for ProcessPoolExecutor: starts no process, records
-    max_workers and the size of every group of tasks handed to a worker,
-    and runs the tasks inline."""
+    max_workers and every task handed to map, and runs the tasks inline."""
 
     created: list = []
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.groups = []
+        self.tasks = []
         InlinePool.created.append(self)
 
     def __enter__(self):
@@ -487,11 +510,16 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
+    def map(self, fn, iterable):
         tasks = list(iterable)
-        for i in range(0, len(tasks), chunksize):
-            self.groups.append(len(tasks[i:i + chunksize]))
+        self.tasks.extend(tasks)
         return iter([fn(t) for t in tasks])
+
+
+def _fail_on_three(t):
+    if t == 3:
+        raise ArithmeticError("trial 3 failed")
+    return t
 
 
 class TestRunPool:
@@ -501,12 +529,40 @@ class TestRunPool:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         return InlinePool.created
 
-    def test_one_task_per_dispatch_in_input_order(self, inline_pool):
-        out = experiments._run_pool(lambda t: -t, list(range(20)), threads=2)
-        assert out == [-t for t in range(20)]
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 501])
+    def test_strided_chunks_in_input_order(self, inline_pool, n, threads):
+        out = experiments._run_pool(lambda t: -t, list(range(n)), threads=threads)
+        assert out == [-t for t in range(n)]
+        if n == 1:
+            assert inline_pool == []
+            return
         (pool,) = inline_pool
-        assert pool.max_workers == 2
-        assert pool.groups == [1] * 20
+        workers = min(threads, n)
+        assert pool.max_workers == workers
+        # one pool task per strided chunk, never one per trial at scale
+        k = min(experiments._CHUNKS_PER_WORKER * workers, n)
+        assert pool.tasks == [list(range(i, n, k)) for i in range(k)]
+
+    def test_costly_tail_spread_over_chunks(self, inline_pool):
+        # a grid lists its costly cells last; every chunk gets a fair share
+        n, costly = 500, range(400, 500)
+        experiments._run_pool(abs, list(range(n)), threads=2)
+        (pool,) = inline_pool
+        shares = [sum(t in costly for t in chunk) for chunk in pool.tasks]
+        assert len(shares) == 2 * experiments._CHUNKS_PER_WORKER
+        assert sum(shares) == len(costly) and max(shares) - min(shares) <= 1
+
+    def test_inline_pool_matches_real_pool(self, monkeypatch):
+        tasks = list(range(-20, 17))
+        real = experiments._run_pool(operator.neg, tasks, threads=2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        assert experiments._run_pool(operator.neg, tasks, threads=2) == real
+        assert real == [-t for t in tasks]
+
+    def test_trial_exception_propagates_from_real_pool(self):
+        with pytest.raises(ArithmeticError, match="trial 3 failed"):
+            experiments._run_pool(_fail_on_three, list(range(10)), threads=2)
 
     def test_workers_capped_at_task_count(self, inline_pool, tmp_path):
         cfg = tiny_grid_config(trials=2)

@@ -87,3 +87,15 @@ def test_layer_timing_times_hirip_constant_exact():
     assert got["supports"] == 67_500
     assert got["hirip_constant_exact_us"] > 0
     assert got["supports_per_s"] == got["supports"] / got["hirip_constant_exact_us"] * 1e6
+
+
+def test_layer_timing_times_pool_scaling():
+    tool = _tool("layer_timing")
+    cfg = tool.desk_recovery_grid()
+    cfg.s_values, cfg.sigma_values, cfg.trials = (1, 2), (1,), 3
+    got = tool.time_pool(cfg, threads=(1, 2), repeat=1)
+    assert list(got) == ["1", "2"]
+    for t, row in got.items():
+        assert row["trials"] == 6 and row["wall_s"] > 0 and row["parent_cpu_s"] >= 0
+        assert row["trials_per_s"] == 6 / row["wall_s"]
+        assert row["efficiency"] == got["1"]["wall_s"] / (int(t) * row["wall_s"])

@@ -24,9 +24,16 @@ costliest enumeration shape (6 blocks of 6 columns sharing one block
 matrix, budget (3, 2): 67,500 supports), in microseconds per call and
 supports per second.
 
-Each figure is the minimum over `repeat` timeit runs of a loop count from
-Timer.autorange (at least 0.2 s per run), so it reads the unloaded cost on
-a shared host.
+Pool scaling: the desk recovery grid (preset master seed, 500 trials) run
+by run_recovery_grid at threads 1 and 2, each the best wall time of
+`repeat` runs, as trials per second, the parent's own CPU seconds in that
+run (dispatch and collection; the workers' time is not in it) and the
+efficiency serial_s / (T * pooled_s).  Workers fork from this process and
+keep its one-thread BLAS.
+
+Every other figure is the minimum over `repeat` timeit runs of a loop
+count from Timer.autorange (at least 0.2 s per run), so it reads the
+unloaded cost on a shared host.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -47,6 +55,8 @@ import numpy as np  # noqa: E402
 from hisparse import solvers  # noqa: E402
 from hisparse.blocks import HiSparsity, hi_threshold  # noqa: E402
 from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq  # noqa: E402
+from hisparse.harness.config import desk_recovery_grid  # noqa: E402
+from hisparse.harness.experiments import run_recovery_grid  # noqa: E402
 from hisparse.harness.signals import add_noise, generate_signal  # noqa: E402
 from hisparse.operators import HierarchicalOperator, dft_operator  # noqa: E402
 from hisparse.riplab import hierarchical_support_count, hirip_constant_exact  # noqa: E402
@@ -120,6 +130,24 @@ def time_hirip(H, k, repeat: int = 7, number: int | None = None) -> dict:
             "supports_per_s": supports / us * 1e6}
 
 
+def time_pool(cfg, threads=(1, 2), repeat: int = 7) -> dict:
+    """run_recovery_grid(cfg) at each thread count (the first must be 1):
+    the best of `repeat` runs as wall seconds, trials per second and the
+    parent's CPU seconds, plus the efficiency serial_s / (T * wall_s)."""
+    out = {}
+    for t in threads:
+        runs = []
+        for _ in range(repeat):
+            wall, cpu = time.perf_counter(), time.process_time()
+            trials = len(run_recovery_grid(cfg, threads=t)[0])
+            runs.append((time.perf_counter() - wall, time.process_time() - cpu))
+        wall, cpu = min(runs)
+        out[str(t)] = {"trials": trials, "wall_s": wall, "trials_per_s": trials / wall,
+                       "parent_cpu_s": cpu,
+                       "efficiency": out["1"]["wall_s"] / (t * wall) if out else 1.0}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeat", type=int, default=7)
@@ -131,6 +159,7 @@ def main(argv=None) -> int:
         "units": {name: time_units(*build(), repeat=args.repeat)
                   for name, build in instances().items()},
         "hirip_constant_exact": time_hirip(*hirip_instance(), repeat=args.repeat),
+        "pool_scaling": time_pool(desk_recovery_grid(), repeat=args.repeat),
     }
     print(json.dumps(doc, indent=1))
     return 0
