@@ -120,9 +120,7 @@ def dft_block(rows: np.ndarray, n: int, width: int) -> np.ndarray:
     m = len(rows)
     if n * n <= DFT_CACHE_MAX_ENTRIES:
         return _dft_table(n, m)[rows, :width]  # a row take, cheaper than dft_entries' gather
-    F = _dft_phases(rows[:, None], np.arange(width), n)
-    F /= math.sqrt(m)
-    return F
+    return dft_entries(rows[:, None], np.arange(width), n, m)
 
 
 def subsampled_dft(m: int, n: int, seed) -> np.ndarray:

@@ -82,6 +82,11 @@ class ExperimentConfig:
             if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
                    for v in ((value,) if isinstance(value, numbers.Number) else value)):
                 raise ValueError(f"{name} must hold integers, got {value!r}")
+        if not isinstance(self.block_lengths, numbers.Number) and len(self.block_lengths) != self.N:
+            raise ValueError(
+                f"block_lengths must be one length or N = {self.N} of them, "
+                f"got {self.block_lengths!r}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if min(self.M) < 1 or self.N < 1 or self.m < 1:
@@ -101,8 +106,6 @@ class ExperimentConfig:
     def block_sizes(self) -> tuple[int, ...]:
         if isinstance(self.block_lengths, int):
             return (self.block_lengths,) * self.N
-        if len(self.block_lengths) != self.N:
-            raise ValueError("explicit block_lengths must have N entries")
         return self.block_lengths
 
     def to_dict(self) -> dict:

@@ -229,6 +229,15 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
     return (H, H_prior), y, truth
 
 
+def _check_rows_fit(cfg: ExperimentConfig) -> None:
+    """ValueError naming m when a block is shorter than the m distinct DFT
+    rows every recovery and detection trial draws from it.  Not part of
+    check(): theorem-verify takes m above its block lengths by design."""
+    shortest = min(cfg.block_sizes())
+    if cfg.m > shortest:
+        raise ValueError(f"m = {cfg.m} exceeds the shortest block length {shortest}")
+
+
 def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
     """Zero-pad each block of est to the length of the same block of
     `structure`, which is at least as long."""
@@ -288,6 +297,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
     cfg.check()
     if len(cfg.M) != 1:
         raise ValueError("the recovery grid uses a single antenna count")
+    _check_rows_fit(cfg)
     sizes = cfg.block_sizes()
     skipped = []
     args = []
@@ -366,6 +376,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     cfg.check()
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
+    _check_rows_fit(cfg)
     prior = _detection_prior(cfg)
     args = [
         (cfg, prior, M, snr, trial)

@@ -39,20 +39,25 @@ def _noiseless(snr_db: float) -> bool:
     return snr_db == math.inf
 
 
-def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
-    """Add complex Gaussian noise at the requested signal-to-noise ratio.
+def _noise_variance(y: np.ndarray, snr_db: float) -> float:
+    """The per-entry noise variance ||y||^2 / (len(y) * 10^(snr_db/10)) of
+    the measurement y at a finite snr_db: SNR is set per measurement entry,
+    so the expected total noise energy is ||y||^2 * 10^(-snr_db/10)."""
+    y = np.asarray(y).reshape(-1)
+    return float(np.vdot(y, y).real) / (y.size * 10.0 ** (snr_db / 10.0))
 
-    The per-entry noise variance is ||y||^2 / (len(y) * 10^(snr_db/10)),
-    so the expected total noise energy is ||y||^2 * 10^(-snr_db/10).
-    snr_db = inf is the noiseless sentinel; nan and -inf are rejected.
+
+def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
+    """Add complex Gaussian noise of variance _noise_variance(y, snr_db) to
+    each entry.  snr_db = inf is the noiseless sentinel; nan and -inf are
+    rejected, and so is a finite SNR on a zero signal.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if _noiseless(snr_db):
         return y.copy()
-    energy = float(np.vdot(y, y).real)
-    if energy == 0.0:
+    var = _noise_variance(y, snr_db)
+    if var == 0.0:
         raise ValueError("cannot set a finite SNR on a zero signal")
-    var = energy / (y.size * 10.0 ** (snr_db / 10.0))
     rng = as_rng(seed)
     return y + math.sqrt(var) * complex_gaussian(rng, y.size)
 
@@ -67,9 +72,7 @@ def noise_floor(y_clean: np.ndarray, snr_db: float, x_true: BlockVector) -> floa
     """
     if _noiseless(snr_db):
         return 1e-12 * float(np.mean(np.abs(x_true.coeffs) ** 2))
-    y_clean = np.asarray(y_clean).reshape(-1)
-    energy = float(np.vdot(y_clean, y_clean).real)
-    return energy / (y_clean.size * 10.0 ** (snr_db / 10.0))
+    return _noise_variance(y_clean, snr_db)
 
 
 def mse(x: BlockVector, xhat: BlockVector) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,20 +35,12 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(eq=False)
 class HierarchicalOperator:
     """The pair (A, {B_i}) with action H(x) = sum_i a_i kron (B_i x_i)."""
 
-    A: np.ndarray
-    Bs: tuple[np.ndarray, ...]
-    _structure: BlockStructure = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.A = _as_matrix(self.A)
-        self.Bs = tuple(_as_matrix(B) for B in self.Bs)
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
+    def __init__(self, A, Bs):
+        self.A = _as_matrix(A)
+        self.Bs = tuple(_as_matrix(B) for B in Bs)
         if len(self.Bs) != self.A.shape[1]:
             raise DimensionError(
                 f"A has {self.A.shape[1]} columns but {len(self.Bs)} block "
@@ -58,16 +49,8 @@ class HierarchicalOperator:
         rows = {B.shape[0] for B in self.Bs}
         if len(rows) != 1:
             raise DimensionError(f"all B_i must share one row count, got {sorted(rows)}")
-        self._structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
-
-    @classmethod
-    def _of_checked(cls, A: np.ndarray, Bs, structure: BlockStructure) -> "HierarchicalOperator":
-        """The operator on A and the block matrices Bs, which are
-        complex128, 2-D, finite and of one row count already, with
-        structure their column counts: nothing is scanned or checked."""
-        H = object.__new__(cls)
-        H.A, H.Bs, H._structure = A, tuple(Bs), structure
-        return H
+        self.structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
+        self.inner_rows = rows.pop()  # m
 
     @property
     def num_antennas(self) -> int:  # M
@@ -78,24 +61,16 @@ class HierarchicalOperator:
         return self.A.shape[1]
 
     @property
-    def inner_rows(self) -> int:  # m
-        return self.Bs[0].shape[0]
-
-    @property
-    def structure(self) -> BlockStructure:
-        return self._structure
-
-    @property
     def out_dim(self) -> int:
         return self.num_antennas * self.inner_rows
 
     @property
     def total_dim(self) -> int:
-        return self._structure.total_dim
+        return self.structure.total_dim
 
     def apply(self, x: BlockVector) -> np.ndarray:
         """Forward measurement; returns a length M*m complex vector."""
-        if x.structure != self._structure:
+        if x.structure != self.structure:
             raise DimensionError("input block structure does not match the operator")
         return self._forward(x)
 
@@ -103,7 +78,7 @@ class HierarchicalOperator:
         """apply for a checked x.  All-zero blocks are skipped: their rows
         of the inner products stay zero, exactly what B_i @ 0 gives."""
         z = np.zeros((self.num_blocks, self.inner_rows), dtype=np.complex128)
-        nonzero = np.logical_or.reduceat(x.coeffs != 0, self._structure.starts)
+        nonzero = np.logical_or.reduceat(x.coeffs != 0, self.structure.starts)
         for i in np.flatnonzero(nonzero):
             np.matmul(self.Bs[i], x.block(i), out=z[i])
         return (self.A @ z).reshape(-1)
@@ -113,7 +88,7 @@ class HierarchicalOperator:
         columns cols and zero elsewhere, given gathered = self._gather(cols),
         with apply's bits.  The dense blocks need no gather: z is scattered
         and applied block by block."""
-        x = BlockVector.zeros(self._structure)
+        x = BlockVector.zeros(self.structure)
         x.coeffs[cols] = z
         return self._forward(x)
 
@@ -132,7 +107,7 @@ class HierarchicalOperator:
         conj(conj(w_i) @ B_i), so no conjugated copy of B_i is made; the
         products land in the output buffer."""
         np.conj(w, out=w)
-        out = BlockVector.zeros(self._structure)
+        out = BlockVector.zeros(self.structure)
         for i, B in enumerate(self.Bs):
             np.matmul(w[i], B, out=out.block(i))
         np.conj(out.coeffs, out=out.coeffs)
@@ -147,7 +122,7 @@ class HierarchicalOperator:
         """The inner columns of the given sorted, in-range global columns
         (all of them when cols is None): the m x len(cols) stack of the
         columns B_b[:, c], and the block b owning each."""
-        st = self._structure
+        st = self.structure
         if cols is None:
             return np.concatenate(self.Bs, axis=1), st.owner
         owner, local, runs = st.runs(np.asarray(cols, dtype=np.intp))
@@ -197,7 +172,10 @@ class _DFTOperator(HierarchicalOperator):
     columns."""
 
     def __init__(self, A: np.ndarray, rows: np.ndarray, n: int, structure: BlockStructure):
-        self.A, self.rows, self.n, self._structure = A, rows, n, structure
+        # HierarchicalOperator's checks are dft_operator's, already run on
+        # these inputs; Bs is made on first use
+        self.A, self.rows, self.n, self.structure = A, rows, n, structure
+        self.inner_rows = rows.shape[1]
         # where row r of block i, and coordinate c of block i, sit in a
         # flat (N, n) array; no coordinate map when every window is its
         # full block, where the flat array is the coordinates in order
@@ -207,19 +185,15 @@ class _DFTOperator(HierarchicalOperator):
             self._coord_pos = structure.owner * n + self._local(np.arange(structure.total_dim))
 
     def _local(self, cols: np.ndarray) -> np.ndarray:
-        return cols - self._structure.starts[self._structure.owner[cols]]
+        return cols - self.structure.starts[self.structure.owner[cols]]
 
     @functools.cached_property
     def Bs(self) -> tuple[np.ndarray, ...]:
         """The dense blocks, made on first use; bit-identical to
         subsampled_dft's draw of the same rows, cut to the window."""
         return tuple(
-            dft_block(r, self.n, w) for r, w in zip(self.rows, self._structure.block_sizes)
+            dft_block(r, self.n, w) for r, w in zip(self.rows, self.structure.block_sizes)
         )
-
-    @property
-    def inner_rows(self) -> int:
-        return self.rows.shape[1]
 
     def _forward(self, x: BlockVector) -> np.ndarray:
         """apply from the gathered nonzero columns."""
@@ -245,12 +219,12 @@ class _DFTOperator(HierarchicalOperator):
         if self._coord_pos is not None:
             out = out[self._coord_pos]
         out *= self.n / math.sqrt(self.inner_rows)
-        return BlockVector(self._structure, out)
+        return BlockVector(self.structure, out)
 
     def _gather(self, cols) -> tuple[np.ndarray, np.ndarray]:
         """As HierarchicalOperator._gather, read from the scaled DFT
         entries: the same bits as the dense B_b[:, c]."""
-        st = self._structure
+        st = self.structure
         cols = np.arange(st.total_dim) if cols is None else np.asarray(cols, dtype=np.intp)
         owner = st.owner[cols]
         return dft_entries(self.rows[owner].T, self._local(cols), self.n, self.inner_rows), owner
@@ -263,9 +237,9 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
     draws, given the rows dft_rows draws.
 
     rows is an N x m integer array, each row ascending, distinct and in
-    range.  When all lengths are one n the operator is matrix-free; with
-    mixed lengths its blocks are made dense by dft_block.  Either way no
-    block is scanned for finiteness."""
+    range.  When all lengths are one n the operator is matrix-free and no
+    block is scanned for finiteness; with mixed lengths its blocks are made
+    dense by dft_block and built through HierarchicalOperator's checks."""
     A = _as_matrix(A)
     rows = np.asarray(rows, dtype=np.intp)
     lengths = tuple(int(n) for n in lengths)
@@ -280,9 +254,8 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
         raise ValueError(f"a window is wider than its block: {structure.block_sizes} > {lengths}")
     if len(set(lengths)) == 1:
         return _DFTOperator(A, rows, lengths[0], structure)
-    return HierarchicalOperator._of_checked(
-        A, (dft_block(r, n, w) for r, n, w in zip(rows, lengths, structure.block_sizes)),
-        structure,
+    return HierarchicalOperator(
+        A, [dft_block(r, n, w) for r, n, w in zip(rows, lengths, structure.block_sizes)]
     )
 
 

@@ -283,6 +283,8 @@ def _no_trials(*args):
     pytest.param("block_lengths", 10.5, id="block_lengths-fractional"),
     pytest.param("trials", 2.5, id="trials-fractional"),
     pytest.param("N", True, id="N-bool"),
+    # an explicit length per block, but not N of them
+    pytest.param("block_lengths", (8, 8), id="block_lengths-count"),
 ])
 def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
     # refused with a message naming the field, on construction and, for a
@@ -296,6 +298,27 @@ def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             run(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_m_above_shortest_block_refused_before_any_trial(monkeypatch, threads):
+    # every trial draws m distinct DFT rows per block; a config on blocks
+    # shorter than m constructs (it may only describe a prior) but is
+    # refused by the runner with a message naming m, not by dft_rows
+    # inside the first trial
+    monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+    for run, cfg in (
+        (run_recovery_grid, tiny_grid_config(m=40, block_lengths=32)),
+        (run_block_detection, tiny_detection_config(m=50, block_lengths=40)),
+        (run_block_detection, tiny_detection_config(block_lengths=(16, 12, 16, 9, 16, 20))),
+    ):
+        with pytest.raises(ValueError, match=rf"\bm = {cfg.m} exceeds"):
+            run(cfg, threads=threads)
+    # m equal to the shortest block runs
+    monkeypatch.setattr(experiments, "_run_pool", lambda worker, args, threads: [])
+    assert run_recovery_grid(tiny_grid_config(m=10), threads=threads)[0] == []
+    assert run_block_detection(tiny_detection_config(block_lengths=(16, 10, 16, 10, 16, 20)),
+                               threads=threads)[0] == []
 
 
 def test_numpy_integer_counts_become_ints(tmp_path):

@@ -339,18 +339,45 @@ class TestDftOperator:
             got = H._apply_gathered(cols, H._gather(cols), z)
             assert got.tobytes() == H.apply(x).tobytes()
 
-    @pytest.mark.parametrize("m,n", [(16, 32), (50, 200), (4, 1030)])
-    def test_dense_blocks_are_the_draws(self, m, n):
+    @pytest.mark.parametrize("m,lengths", [
+        pytest.param(16, (32,) * 3, id="16-32"),
+        pytest.param(50, (200,) * 3, id="50-200"),
+        pytest.param(4, (1030,) * 3, id="4-1030"),
+        pytest.param(16, (32, 64, 32), id="16-mixed"),
+    ])
+    def test_dense_blocks_are_the_draws(self, m, lengths):
         # on either route, H.Bs is subsampled_dft's draw from the same
         # stream cut to the window, bit for bit
         A = gaussian_matrix(2, 3, 0)
         seeds = [spawn_seedseq(7, i) for i in range(3)]
-        rows = np.array([dft_rows(m, n, seed) for seed in seeds])
-        for widths in ((n,) * 3, (n, 1, n // 2)):
-            H = dft_operator(A, rows, (n,) * 3, widths)
-            for B, seed, w in zip(H.Bs, seeds, widths):
+        rows = np.array([dft_rows(m, n, seed) for seed, n in zip(seeds, lengths)])
+        for widths in (lengths, (lengths[0], 1, lengths[2] // 2)):
+            H = dft_operator(A, rows, lengths, widths)
+            draws = [np.ascontiguousarray(subsampled_dft(m, n, seed)[:, :w])
+                     for seed, n, w in zip(seeds, lengths, widths)]
+            for B, want in zip(H.Bs, draws):
                 assert B.dtype == np.complex128 and B.flags.c_contiguous
-                assert B.tobytes() == subsampled_dft(m, n, seed)[:, :w].tobytes()
+                assert B.tobytes() == want.tobytes()
+            if len(set(lengths)) > 1:
+                # mixed lengths are built dense, through the checked
+                # constructor: every product is the draws' operator's
+                D = HierarchicalOperator(A, draws)
+                rng = np.random.default_rng(6)
+                x = random_block_vector(rng, H.structure)
+                y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
+                cols = np.sort(rng.choice(H.total_dim, size=H.total_dim // 2, replace=False))
+                for got, want in (
+                    (H.apply(x), D.apply(x)),
+                    (H.adjoint_apply(y).coeffs, D.adjoint_apply(y).coeffs),
+                    (H.gram(), D.gram()),
+                    (H.gram(cols), D.gram(cols)),
+                    (H.dense_columns(cols), D.dense_columns(cols)),
+                ):
+                    assert got.tobytes() == want.tobytes()
+        bad = A.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dft_operator(bad, rows, lengths)
 
     @pytest.mark.parametrize("m,n", [(16, 32), (50, 200)])
     def test_shares_a_and_scans_no_block(self, monkeypatch, m, n):
