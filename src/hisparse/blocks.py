@@ -24,8 +24,8 @@ class BlockStructure:
     block_sizes holds (n_1, ..., n_N); block i occupies the half-open index
     range [offset(i), offset(i) + n_i) of the flat buffer.  The read-only
     intp arrays starts (offset(i) per block) and owner (the block of each
-    global coordinate g, whose local index is g - starts[owner[g]]) are
-    made once and serve every global <-> (block, local) conversion.
+    global coordinate) are made once; split is the one global -> (block,
+    local) conversion.
     """
 
     block_sizes: tuple[int, ...]
@@ -64,15 +64,11 @@ class BlockStructure:
         lo = self.starts.item(i)
         return slice(lo, lo + self.block_sizes[i])
 
-    def runs(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-        """Split the ascending, in-range global coordinates cols (an intp
-        array) by block: the owner block and the local index of each, and
-        the (lo, hi) bounds of the nonempty runs cols[lo:hi], one per block
-        holding any of them, in order."""
+    def split(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The owner block and the local index of each in-range global
+        coordinate in cols (an intp array)."""
         owner = self.owner[cols]
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), cols.size]
-        runs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-        return owner, cols - self.starts[owner], runs
+        return owner, cols - self.starts[owner]
 
 
 @dataclass(frozen=True)
@@ -152,8 +148,9 @@ class HiSupport:
 
     A support built by hi_threshold, of_columns or _of_sorted also keeps the
     read-only array of its ascending global columns and the BlockStructure
-    they index, which column_indices returns for that same structure.
-    Equality and hashing look at active_blocks and entries only.
+    they index, which column_indices returns for that same structure;
+    validate_for does not re-check a support against it.  Equality and
+    hashing look at active_blocks and entries only.
     """
 
     active_blocks: tuple[int, ...]
@@ -184,22 +181,21 @@ class HiSupport:
     def _of_sorted(cls, structure: BlockStructure, cols: np.ndarray, idle=()) -> "HiSupport":
         """The support covering the ascending, distinct, in-range global
         coordinates cols (an intp array), plus the blocks in idle, which
-        hold none of them, as active blocks with no coordinates.  Built
-        canonical by _canonical, which keeps cols, skipping the sorting and
-        conversion of __post_init__."""
-        owner, local, runs = structure.runs(cols)
-        blocks, local = owner.tolist(), local.tolist()
-        entries = {blocks[lo]: tuple(local[lo:hi]) for lo, hi in runs}
-        if idle:
-            entries = {b: entries.get(b, ()) for b in sorted(entries.keys() | set(idle))}
-        return cls._canonical(structure, cols, entries)
+        hold none of them, as active blocks with no coordinates."""
+        counts = np.bincount(structure.owner[cols], minlength=structure.num_blocks).tolist()
+        blocks = [b for b, c in enumerate(counts) if c or b in idle]
+        return cls._canonical(structure, cols, blocks, counts)
 
     @classmethod
-    def _canonical(cls, structure: BlockStructure, cols: np.ndarray, entries: dict) -> "HiSupport":
-        """The support with the canonical entries (keys ascending, each
-        tuple ascending) that cover the ascending global columns cols of
+    def _canonical(cls, structure: BlockStructure, cols: np.ndarray, blocks, counts) -> "HiSupport":
+        """The support on the ascending blocks, each block b of which holds
+        the next counts[b] of the ascending global columns cols of
         structure, an intp array that the support keeps and makes
-        read-only."""
+        read-only: canonical (keys ascending, each tuple ascending) without
+        the sorting and conversion of __post_init__."""
+        local, lo = structure.split(cols)[1].tolist(), 0
+        # block b takes local[lo : lo + counts[b]], and lo moves past them
+        entries = {b: tuple(local[lo : (lo := lo + counts[b])]) for b in blocks}
         cols.flags.writeable = False
         support = object.__new__(cls)
         object.__setattr__(support, "active_blocks", tuple(entries))
@@ -227,8 +223,11 @@ class HiSupport:
 
     def validate_for(self, structure: BlockStructure) -> None:
         """IndexError unless every block and coordinate lies inside the
-        structure.  Coordinates are sorted, so checking the first and the
+        structure.  A support cut from structure's own columns fits it;
+        otherwise coordinates are sorted, so checking the first and the
         last of each block covers the rest."""
+        if structure is self._columns_of:
+            return
         for b in self.active_blocks:
             if not 0 <= b < structure.num_blocks:
                 raise IndexError(f"block index {b} out of range")
@@ -309,12 +308,7 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     kept = np.concatenate(cols)  # ascending: winners are, and so is each row
     out.coeffs[kept] = x.coeffs[kept]
     # winner b holds the next sigma_b of kept: a sigma_b = 0 winner gets ()
-    local = (kept - st.starts[st.owner[kept]]).tolist()
-    entries, lo = {}, 0
-    for b in winners:
-        entries[b] = tuple(local[lo : lo + k.sigma[b]])
-        lo += k.sigma[b]
-    return out, HiSupport._canonical(st, kept, entries)
+    return out, HiSupport._canonical(st, kept, winners, k.sigma)
 
 
 def _block_scores(x: BlockVector, k: HiSparsity):

@@ -75,13 +75,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, numbers.Number) or len(value) == 0:
                 raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
-        for name in ("M", "s_values", "sigma_values", "block_lengths", "N", "m", "trials",
-                     "front_width"):
+        kinds = dict.fromkeys(("M", "s_values", "sigma_values", "block_lengths", "N", "m",
+                               "trials", "front_width", "master_seed"), numbers.Integral)
+        kinds["snr_db"] = numbers.Real
+        for name, kind in kinds.items():
             value = getattr(self, name)
-            # bool is an Integral, and True would read as a count of one
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                   for v in ((value,) if isinstance(value, numbers.Number) else value)):
-                raise ValueError(f"{name} must hold integers, got {value!r}")
+            # bool is a number, and True would read as a count of one or as 1 dB
+            if any(isinstance(v, bool) or not isinstance(v, kind)
+                   for v in ((value,) if isinstance(value, (numbers.Number, str)) else value)):
+                raise ValueError(f"{name} must hold {kind.__name__.lower()} numbers, got {value!r}")
+        if not isinstance(self.measured_timing, bool):
+            raise ValueError(f"measured_timing must be true or false, got {self.measured_timing!r}")
         if not isinstance(self.block_lengths, numbers.Number) and len(self.block_lengths) != self.N:
             raise ValueError(
                 f"block_lengths must be one length or N = {self.N} of them, "

@@ -125,8 +125,10 @@ class HierarchicalOperator:
         st = self.structure
         if cols is None:
             return np.concatenate(self.Bs, axis=1), st.owner
-        owner, local, runs = st.runs(np.asarray(cols, dtype=np.intp))
-        parts = [self.Bs[owner[lo]][:, local[lo:hi]] for lo, hi in runs]
+        owner, local = st.split(np.asarray(cols, dtype=np.intp))
+        # block b's columns are local[lo:hi] between its bounds
+        bounds = np.searchsorted(owner, np.arange(self.num_blocks + 1)).tolist()
+        parts = [B[:, local[lo:hi]] for B, lo, hi in zip(self.Bs, bounds, bounds[1:]) if lo < hi]
         parts = parts or [np.empty((self.inner_rows, 0), dtype=np.complex128)]
         return np.concatenate(parts, axis=1), owner
 
@@ -182,10 +184,8 @@ class _DFTOperator(HierarchicalOperator):
         self._row_pos = rows + n * np.arange(rows.shape[0])[:, None]
         self._coord_pos = None
         if structure.total_dim < rows.shape[0] * n:
-            self._coord_pos = structure.owner * n + self._local(np.arange(structure.total_dim))
-
-    def _local(self, cols: np.ndarray) -> np.ndarray:
-        return cols - self.structure.starts[self.structure.owner[cols]]
+            owner, local = structure.split(np.arange(structure.total_dim))
+            self._coord_pos = owner * n + local
 
     @functools.cached_property
     def Bs(self) -> tuple[np.ndarray, ...]:
@@ -226,8 +226,8 @@ class _DFTOperator(HierarchicalOperator):
         entries: the same bits as the dense B_b[:, c]."""
         st = self.structure
         cols = np.arange(st.total_dim) if cols is None else np.asarray(cols, dtype=np.intp)
-        owner = st.owner[cols]
-        return dft_entries(self.rows[owner].T, self._local(cols), self.n, self.inner_rows), owner
+        owner, local = st.split(cols)
+        return dft_entries(self.rows[owner].T, local, self.n, self.inner_rows), owner
 
 
 def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:

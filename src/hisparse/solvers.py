@@ -46,10 +46,12 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        # inf would stop every solve at its first refit as converged, and
-        # nan would never stop one
-        if not (math.isfinite(self.residual_tol) and self.residual_tol >= 0):
-            raise ValueError(f"residual_tol must be finite and >= 0, got {self.residual_tol!r}")
+        # inf, or True read as 1.0, would stop every solve at its first
+        # refit as converged, and nan would never stop one
+        tol = self.residual_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"residual_tol must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass(eq=False)

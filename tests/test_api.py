@@ -12,9 +12,11 @@ REMOVED = {
     "operators": ("save_operator", "load_operator", "DENSE_ENTRY_BUDGET"),
     "operators.HierarchicalOperator": ("assemble_dense", "_with_blocks", "_of_checked",
                                        "_check_shapes"),
+    "operators._DFTOperator": ("_local",),
     "riplab": ("rip_constant_randomized", "gram_matrix"),
     "solvers": ("least_squares_on_support",),
     "blocks": ("restrict",),
+    "blocks.BlockStructure": ("runs",),
     "ensembles": ("PHASE_TABLE_MAX_ENTRIES", "_dft_phase_table"),
     "harness.signals": ("PLACEMENT_UNIFORM", "PLACEMENT_FRONT"),
     "harness.experiments": ("PLACEMENT_FRONT",),

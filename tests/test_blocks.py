@@ -49,6 +49,11 @@ class TestTypes:
             for arr in (st.starts, st.owner):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1
+            # split: the one global -> (block, local) conversion
+            for cols in (np.arange(pos, dtype=np.intp), np.empty(0, dtype=np.intp)):
+                blocks, local = st.split(cols)
+                assert blocks.tolist() == [owner[g] for g in cols]
+                assert local.tolist() == [g - starts[owner[g]] for g in cols]
 
     def test_structure_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -125,6 +130,18 @@ class TestTypes:
             sup.validate_for(st)
         with pytest.raises(IndexError):
             sup.column_indices(st)
+
+    def test_threshold_support_checked_against_another_structure(self):
+        # only the structure a support was cut from skips the range check
+        st = BlockStructure((8, 8))
+        x = BlockVector.zeros(st)
+        x.coeffs[[0, 15]] = 1.0, 5.0
+        sup = hi_threshold(x, HiSparsity(2, (1, 1)))[1]
+        assert sup.entries == {0: (0,), 1: (7,)}
+        sup.validate_for(st)
+        for call in (sup.validate_for, sup.column_indices):
+            with pytest.raises(IndexError):
+                call(BlockStructure((8, 3)))
 
     def test_of_columns_inverts_column_indices(self):
         st = BlockStructure((3, 2))

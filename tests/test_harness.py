@@ -285,6 +285,15 @@ def _no_trials(*args):
     pytest.param("N", True, id="N-bool"),
     # an explicit length per block, but not N of them
     pytest.param("block_lengths", (8, 8), id="block_lengths-count"),
+    # a fractional or bool seed ran every trial as seed 1
+    pytest.param("master_seed", 1.5, id="master_seed-fractional"),
+    pytest.param("master_seed", True, id="master_seed-bool"),
+    # a string or null SNR failed inside math.isnan, and True ran at 1 dB
+    pytest.param("snr_db", ("10",), id="snr_db-string"),
+    pytest.param("snr_db", (None,), id="snr_db-null"),
+    pytest.param("snr_db", (True,), id="snr_db-bool"),
+    # a truthy string wrote wall times into trials.csv
+    pytest.param("measured_timing", "false", id="measured_timing-string"),
 ])
 def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
     # refused with a message naming the field, on construction and, for a
@@ -739,6 +748,17 @@ class TestCli:
         bad.write_text("{not json")
         with pytest.raises(SystemExit):
             cli_main(["recovery-grid", "--config", str(bad), "--out", str(tmp_path)])
+
+    def test_non_number_snr_in_config_rejected(self, tmp_path):
+        # refused by check() with ValueError, which the CLI reports, rather
+        # than a TypeError traceback from inside it
+        cfg_path = tmp_path / "cfg.json"
+        d = tiny_grid_config().to_dict()
+        d["snr_db"] = ["10"]
+        cfg_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit, match="snr_db"):
+            cli_main(["recovery-grid", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert not (tmp_path / "trials.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):

@@ -440,6 +440,9 @@ class TestSolverConfig:
         ("residual_tol", np.nan),  # the residual stop would never fire
         ("max_iters", 2.5),  # would fail later in range(), inside a trial
         ("max_iters", True),  # would run as one iteration
+        ("residual_tol", True),  # would read as 1.0 and stop every solve converged
+        ("residual_tol", "1e-7"),  # failed inside math.isfinite with a TypeError
+        ("residual_tol", None),
     ])
     def test_degenerate_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
