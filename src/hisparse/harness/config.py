@@ -73,16 +73,17 @@ class ExperimentConfig:
         after construction is refused up front as well."""
         for name in ("M", "s_values", "sigma_values", "snr_db"):
             value = getattr(self, name)
-            if isinstance(value, numbers.Number) or len(value) == 0:
+            if not hasattr(value, "__len__") or len(value) == 0:
                 raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
         kinds = dict.fromkeys(("M", "s_values", "sigma_values", "block_lengths", "N", "m",
                                "trials", "front_width", "master_seed"), numbers.Integral)
         kinds["snr_db"] = numbers.Real
         for name, kind in kinds.items():
             value = getattr(self, name)
+            # a value that is not a sequence, None included, is one value
+            values = (value,) if isinstance(value, str) or not hasattr(value, "__len__") else value
             # bool is a number, and True would read as a count of one or as 1 dB
-            if any(isinstance(v, bool) or not isinstance(v, kind)
-                   for v in ((value,) if isinstance(value, (numbers.Number, str)) else value)):
+            if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
                 raise ValueError(f"{name} must hold {kind.__name__.lower()} numbers, got {value!r}")
         if not isinstance(self.measured_timing, bool):
             raise ValueError(f"measured_timing must be true or false, got {self.measured_timing!r}")
@@ -119,8 +120,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        solver = d.pop("solver", None)
-        if solver is not None and not isinstance(solver, SolverConfig):
+        solver = d.pop("solver", {})
+        if not isinstance(solver, SolverConfig):
+            if not isinstance(solver, dict):
+                raise ValueError(f"solver must be an object of solver settings, got {solver!r}")
             unknown = set(solver) - {f.name for f in dataclasses.fields(SolverConfig)}
             if unknown:
                 raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
@@ -129,9 +132,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if solver is not None:
-            d["solver"] = solver
-        return cls(**d)
+        return cls(**d, solver=solver)
 
     def to_json(self, path) -> None:
         _dump_json(self.to_dict(), path)

@@ -229,6 +229,13 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
     return (H, H_prior), y, truth
 
 
+def _check_scenario(cfg: ExperimentConfig, scenario: str) -> None:
+    """The runners' gate: ValueError for a config of another scenario, then cfg.check()."""
+    if cfg.scenario != scenario:
+        raise ValueError(f"config is not a {scenario} config")
+    cfg.check()
+
+
 def _check_rows_fit(cfg: ExperimentConfig) -> None:
     """ValueError naming m when a block is shorter than the m distinct DFT
     rows every recovery and detection trial draws from it.  Not part of
@@ -292,9 +299,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
     SNR, one hihtp solve.  Success means the signal-domain MSE is at or
     below the per-entry measurement noise variance.
     """
-    if cfg.scenario != SCENARIO_RECOVERY:
-        raise ValueError("config is not a recovery-grid config")
-    cfg.check()
+    _check_scenario(cfg, SCENARIO_RECOVERY)
     if len(cfg.M) != 1:
         raise ValueError("the recovery grid uses a single antenna count")
     _check_rows_fit(cfg)
@@ -371,9 +376,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     its window.  Both runs share A, the B_i and the noise, so the two
     modes are directly comparable.
     """
-    if cfg.scenario != SCENARIO_DETECTION:
-        raise ValueError("config is not a block-detection config")
-    cfg.check()
+    _check_scenario(cfg, SCENARIO_DETECTION)
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
     _check_rows_fit(cfg)
@@ -419,10 +422,8 @@ def _random_instance(rng, N, M, m, n, s, sigma):
 def _product_bound(cfg: ExperimentConfig, rng, tol: float):
     """Exact hierarchical constant of a random operator against the product
     bound on its constituents; None when an enumeration exceeds its budget."""
-    cap_n = cfg.block_lengths if isinstance(cfg.block_lengths, int) else max(cfg.block_lengths)
-    H, k = _random_instance(
-        rng, cfg.N, max(cfg.M), cfg.m, cap_n, max(cfg.s_values), max(cfg.sigma_values)
-    )
+    H, k = _random_instance(rng, cfg.N, max(cfg.M), cfg.m, max(cfg.block_sizes()),
+                            max(cfg.s_values), max(cfg.sigma_values))
     try:
         hi = hirip_constant_exact(H, k)
         da = rip_constant_exact(H.A, k.s).delta
@@ -524,9 +525,7 @@ def run_theorem_verify(cfg: ExperimentConfig, threads: int = 1) -> dict:
     trial pool; the report does not depend on `threads`.  Returns the
     JSON-ready report.
     """
-    if cfg.scenario != SCENARIO_THEOREM:
-        raise ValueError("config is not a theorem-verify config")
-    cfg.check()
+    _check_scenario(cfg, SCENARIO_THEOREM)
     counts = [cfg.trials if f.cap is None else min(f.cap, cfg.trials) for f in BOUND_FAMILIES]
     tasks = [(cfg, row, j) for row, n in enumerate(counts) for j in range(n)]
     outcomes = iter(_run_pool(_bound_instance, tasks, threads))

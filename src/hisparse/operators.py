@@ -40,7 +40,11 @@ class HierarchicalOperator:
 
     def __init__(self, A, Bs):
         self.A = _as_matrix(A)
-        self.Bs = tuple(_as_matrix(B) for B in Bs)
+        # one check per distinct B; the tuple keeps each alive, so no id is reused
+        Bs = tuple(Bs)
+        distinct = {id(B): B for B in Bs}
+        checked = {key: _as_matrix(B) for key, B in distinct.items()}
+        self.Bs = tuple(checked[id(B)] for B in Bs)
         if len(self.Bs) != self.A.shape[1]:
             raise DimensionError(
                 f"A has {self.A.shape[1]} columns but {len(self.Bs)} block "
@@ -263,5 +267,4 @@ def kronecker_operator(A, B) -> HierarchicalOperator:
     """The constant-block special case: every B_i is the same matrix B,
     so the dense action is the Kronecker product A kron B."""
     A = _as_matrix(A)
-    B = _as_matrix(B)
     return HierarchicalOperator(A, (B,) * A.shape[1])

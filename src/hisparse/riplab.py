@@ -169,15 +169,14 @@ def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
     in enumeration order.  Narrower supports are padded with the index of
     the zero row (= the column count of G); the returned argmax drops the
     padding.  Each chunk of at most chunk supports gathers its restricted
-    matrices from gram.  A chunk of more than _PRUNE_MIN rows is first
-    bounded from |gram|, a float table made once per call when a chunk is
-    first pruned, with its index laid out (width, width, batch) so the
-    bounds reduce along the batch, and only its _live_rows are gathered as
-    complex and reach eigvalsh (a smaller chunk costs less to diagonalize
-    whole than to prune).  The first support attaining the maximum wins
-    ties, so for a lexicographic enumeration the argmax is the
-    lexicographically smallest maximizer.  Returns (delta, argmax row,
-    count).
+    matrices from gram through one index laid out (width, width, batch).
+    A chunk of more than _PRUNE_MIN rows is first bounded from |gram|, a
+    float table made once per call when a chunk is first pruned, and only
+    its _live_rows are gathered as complex and reach eigvalsh (a smaller
+    chunk costs less to diagonalize whole than to prune).  The first
+    support attaining the maximum wins ties, so for a lexicographic
+    enumeration the argmax is the lexicographically smallest maximizer.
+    Returns (delta, argmax row, count).
     """
     side = gram.shape[0]
     flat, cols = gram.ravel(), side - 1
@@ -186,10 +185,10 @@ def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
     count = 0
     for rows in _chunks(batches, chunk):
         count += len(rows)
+        idx, live = _batch_last_index(rows, side), np.arange(len(rows))
         if len(rows) > _PRUNE_MIN:
             if mag is None:
                 mag = np.abs(flat)
-            idx = _batch_last_index(rows, side)
             live = _live_rows(mag, flat, idx, best_delta)
             # the live columns as a contiguous copy (idx[:, :, live] is not,
             # and flat.take would copy it again); rebinding drops the full
@@ -197,10 +196,7 @@ def _max_deviation(gram: np.ndarray, batches, chunk: int = _CHUNK):
             idx = idx.take(live, axis=2)
             if not live.size:
                 continue
-            devs = _spectral_norm(flat.take(idx).transpose(2, 0, 1))
-        else:
-            live = np.arange(len(rows))
-            devs = _spectral_norm(flat.take(rows[:, :, None] * side + rows[:, None, :]))
+        devs = _spectral_norm(flat.take(idx).transpose(2, 0, 1))
         j = int(np.argmax(devs))
         if devs[j] > best_delta:
             i = int(live[j])
@@ -426,8 +422,7 @@ def lemma1_check(A: np.ndarray, X: np.ndarray, tol: float = 1e-9) -> dict:
     scale = max(1.0, float(np.abs(X).max()))
     if float(np.abs(X - X.conj().T).max()) > 1e-12 * scale:
         raise ValueError("X is not Hermitian to 1e-12")
-    pattern = [i for i in range(X.shape[0]) if np.any(X[i, :] != 0)]
-    s = len(pattern)
+    s = int(np.count_nonzero((X != 0).any(axis=1)))
     nuclear = nuclear_norm_hermitian(X)
     inner = np.vdot(A.conj().T @ A, X)
     deviation = float(abs(inner - nuclear))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hisparse import riplab
 from hisparse.blocks import BlockStructure, BlockVector, HiSparsity, is_hi_sparse
 from hisparse.harness import experiments
 from hisparse.harness.cli import main as cli_main
@@ -294,6 +295,9 @@ def _no_trials(*args):
     pytest.param("snr_db", (True,), id="snr_db-bool"),
     # a truthy string wrote wall times into trials.csv
     pytest.param("measured_timing", "false", id="measured_timing-string"),
+    # a JSON null in a whole field raised TypeError iterating or sizing None
+    pytest.param("master_seed", None, id="master_seed-null"),
+    pytest.param("M", None, id="M-null"),
 ])
 def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
     # refused with a message naming the field, on construction and, for a
@@ -507,8 +511,39 @@ class TestTheoremVerify:
             assert json.load(fh) == json.loads(json.dumps(report))
 
     def test_wrong_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            run_theorem_verify(tiny_grid_config())
+        for run, cfg, scenario in (
+            (run_theorem_verify, tiny_grid_config(), "theorem-verify"),
+            (run_recovery_grid, tiny_detection_config(), "recovery-grid"),
+            (run_block_detection, tiny_grid_config(), "block-detection"),
+        ):
+            with pytest.raises(ValueError, match=f"^config is not a {scenario} config$"):
+                run(cfg)
+
+    def test_support_counts_do_not_depend_on_run_order(self, monkeypatch):
+        # the traced benchmark checks each pass's enumerated support count
+        # against a recording, so a pass must count the same supports
+        # whatever ran before it in the process: a result cached across
+        # runs would drop its supports from every run after the first
+        runs = []
+        for module in (riplab, experiments):
+            def counting(H, k, real=module.hirip_constant_exact):
+                est = real(H, k)
+                runs[-1].append(est.supports_examined)
+                return est
+
+            monkeypatch.setattr(module, "hirip_constant_exact", counting)
+        counts = {}
+        for order in ((1, 2), (2, 1)):
+            for seed in order:
+                cfg = desk_theorem_verify(instances=1)
+                cfg.master_seed = seed
+                runs.append([])
+                assert run_theorem_verify(cfg)["passed"]
+                counts.setdefault(seed, []).append(sum(runs[-1]))
+        assert counts[1][0] == counts[1][1] and counts[2][0] == counts[2][1]
+        # one instance each of the product bound, column necessity and
+        # mixing necessity, plus the fixed orthogonal-subspace case
+        assert all(len(calls) == 4 for calls in runs)
 
     def test_thread_pool_preserves_report(self):
         cfg = desk_theorem_verify(instances=6)
@@ -645,6 +680,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("solver", [5, None, [1], "max_iters"])
+    def test_non_object_solver_rejected(self, solver):
+        # a number used to fail inside set() with TypeError
+        with pytest.raises(ValueError, match="solver"):
+            ExperimentConfig.from_dict({**tiny_grid_config().to_dict(), "solver": solver})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"scenario": "recovery-grid", "bogus": 1})
@@ -757,6 +798,14 @@ class TestCli:
         d["snr_db"] = ["10"]
         cfg_path.write_text(json.dumps(d))
         with pytest.raises(SystemExit, match="snr_db"):
+            cli_main(["recovery-grid", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert not (tmp_path / "trials.csv").exists()
+
+    def test_null_seed_in_config_rejected(self, tmp_path):
+        # JSON null used to end in a TypeError traceback from check()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**tiny_grid_config().to_dict(), "master_seed": None}))
+        with pytest.raises(SystemExit, match="master_seed"):
             cli_main(["recovery-grid", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert not (tmp_path / "trials.csv").exists()
 

@@ -199,6 +199,30 @@ class TestKronecker:
             H = kronecker_operator(A, B)
             np.testing.assert_allclose(dense(H), np.kron(A, B), atol=1e-14)
 
+    def test_scans_b_once(self, monkeypatch):
+        # every repeat of one block-matrix object shares its one checked
+        # array: a float B repeated N times becomes one complex array
+        rng = np.random.default_rng(9)
+        A, B = rng.standard_normal((4, 5)), rng.standard_normal((3, 6))
+        scans = []
+        real_as_matrix = operators._as_matrix
+        monkeypatch.setattr(operators, "_as_matrix", lambda a: scans.append(a) or real_as_matrix(a))
+        for make in (lambda: kronecker_operator(A, B),
+                     lambda: HierarchicalOperator(A, (B for _ in range(5)))):
+            H = make()
+            assert sum(a is B for a in scans) == 1
+            assert H.Bs[0].dtype == np.complex128
+            assert all(Bi is H.Bs[0] for Bi in H.Bs)
+            scans.clear()
+        # fresh temporaries from a generator stay distinct: none may pass its
+        # id on to the next once it is freed
+        draws = [rng.standard_normal((3, 6)) for _ in range(5)]
+        H = HierarchicalOperator(A, (D.copy() for D in draws))
+        assert all(np.array_equal(Bi, D) for Bi, D in zip(H.Bs, draws))
+        np.testing.assert_array_equal(dense(kronecker_operator(A, B)), np.kron(A, B))
+        with pytest.raises(ValueError, match="finite"):
+            kronecker_operator(A, np.full((3, 6), np.nan))
+
 
 class TestValidationAndSerialization:
     def test_bs_count_mismatch(self):
