@@ -45,9 +45,19 @@ class BlockStructure:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "owner", owner)
 
+    def __reduce__(self):
+        # pickled as its sizes: the copy builds its own read-only arrays
+        return type(self), (self.block_sizes,)
+
     @classmethod
     def uniform(cls, num_blocks: int, block_len: int) -> "BlockStructure":
         return cls((block_len,) * num_blocks)
+
+    @classmethod
+    def of(cls, sizes) -> "BlockStructure":
+        """sizes itself when it is a BlockStructure, else the structure of
+        those block sizes."""
+        return sizes if isinstance(sizes, cls) else cls(tuple(sizes))
 
     @property
     def num_blocks(self) -> int:

@@ -2,17 +2,24 @@
 
 All randomness in the package flows through numpy Generators derived from a
 64-bit master seed by a counter-based split: the stream for a given purpose
-is seeded with SeedSequence(entropy=master_seed, spawn_key=stream_ids),
-where stream_ids is a tuple of small non-negative integers naming the cell,
-trial and role.  Identical (seed, stream) pairs always produce identical
-draws, and distinct streams are independent, so trials can run in any order
-or in parallel without changing results.
+is SeedSequence(entropy=zigzag(master_seed), spawn_key=zigzag(stream_ids)),
+where stream_ids is a tuple of integers naming the cell, trial and role.
+Identical (seed, stream) pairs always produce identical draws, and distinct
+streams are independent, so trials can run in any order or in parallel
+without changing results.
+
+spawn_seedseq hands numpy the entropy words it would assemble from that
+pair (stream_words), which spares the per-int conversion of its Python
+code; the words, and so every draw, are the same.  dft_rows keeps numpy's
+shuffle in choice: subsampled_dft draws from a Generator its caller may
+draw from again, so skipping the shuffle would change later draws.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -22,16 +29,67 @@ import numpy as np
 DFT_CACHE_MAX_ENTRIES = 1 << 20
 
 
+# numpy's SeedSequence pool size in 32-bit words: the entropy of a stream
+# with a spawn key is zero-padded to it
+_POOL_WORDS = 4
+_WORD = 0xFFFFFFFF
+
+
+def _as_int(v) -> int:
+    """v as an int; TypeError for a bool or a non-integral value, which
+    must not silently name its integer twin's stream."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"seeds and stream ids must be integers, got {v!r}")
+    return int(v)
+
+
 def zigzag(v: int) -> int:
-    """Map a signed int to a non-negative one (0,-1,1,-2,... -> 0,1,2,3,...)."""
-    v = int(v)
+    """Map a signed int to a non-negative one (0,-1,1,-2,... -> 0,1,2,3,...);
+    TypeError for a bool or a non-integral value."""
+    if type(v) is not int:  # the common case skips the checks
+        v = _as_int(v)
     return (v << 1) if v >= 0 else ((-v) << 1) - 1
 
 
+def _append_words(words: list, v: int) -> None:
+    """Append numpy's uint32 words of the non-negative int v, least
+    significant first (one 0 word for 0)."""
+    words.append(v & _WORD)
+    while v > _WORD:
+        v >>= 32
+        words.append(v & _WORD)
+
+
+def stream_words(master_seed: int, *stream_ids: int) -> np.ndarray:
+    """The uint32 entropy words numpy assembles for
+    SeedSequence(entropy=zigzag(master_seed), spawn_key=zigzag(stream_ids)):
+    the seed's words, zero-padded to the pool size when a key follows, then
+    each id's words."""
+    words = []
+    _append_words(words, zigzag(master_seed))
+    if stream_ids:
+        words += [0] * (_POOL_WORDS - len(words))
+        for i in stream_ids:
+            _append_words(words, zigzag(i))
+    return np.array(words, dtype=np.uint32)
+
+
 def spawn_seedseq(master_seed: int, *stream_ids: int) -> np.random.SeedSequence:
-    """SeedSequence for one named stream under the master seed."""
-    key = tuple(zigzag(i) for i in stream_ids)
-    return np.random.SeedSequence(entropy=zigzag(master_seed), spawn_key=key)
+    """SeedSequence for one named stream under the master seed; its state
+    and spawned children are SeedSequence(entropy=zigzag(master_seed),
+    spawn_key=zigzag(stream_ids))'s."""
+    return np.random.SeedSequence(stream_words(master_seed, *stream_ids))
+
+
+def spawn_seedseqs(master_seed: int, *stream_ids: int, count: int) -> list:
+    """[spawn_seedseq(master_seed, *stream_ids, i) for i in range(count)],
+    from one word table: the streams share every word but the last,
+    zigzag(i) = 2i, which is one word for count <= 2**31."""
+    if not 0 <= count <= 1 << 31:
+        raise ValueError(f"need 0 <= count <= 2**31, got {count}")
+    table = np.tile(stream_words(master_seed, *stream_ids, 0), (count, 1))
+    table[:, -1] = np.arange(0, 2 * count, 2, dtype=np.uint32)
+    return [np.random.SeedSequence(words) for words in table]
 
 
 def stream_fingerprint(master_seed: int, *stream_ids: int) -> int:
@@ -76,13 +134,22 @@ def _dft_phases(rows, cols, n: int) -> np.ndarray:
     return np.exp(phases, out=phases)
 
 
+# entries per row block of the DFT table's build: at most this many phases
+# are alive beside the table
+_TABLE_BLOCK_ENTRIES = 1 << 16
+
+
 @functools.lru_cache(maxsize=4)
 def _dft_table(n: int, m: int) -> np.ndarray:
     """The read-only n x n DFT matrix scaled by 1/sqrt(m), the scale of an
-    m-row draw."""
+    m-row draw.  It is filled in row blocks, so no n x n temporary sits
+    beside it."""
     k = np.arange(n)
-    F = _dft_phases(k[:, None], k, n)
-    F /= math.sqrt(m)  # in place: no second n x n buffer at the peak
+    F = np.empty((n, n), dtype=np.complex128)
+    step = max(1, _TABLE_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        np.divide(_dft_phases(k[lo : lo + step, None], k, n), math.sqrt(m),
+                  out=F[lo : lo + step])
     F.flags.writeable = False
     return F
 

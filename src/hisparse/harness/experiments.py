@@ -30,6 +30,7 @@ from ..ensembles import (
     gaussian_matrix,
     restrict_columns,  # not called here: perfbench/workloads.py traces it by this name
     spawn_seedseq,
+    spawn_seedseqs,
     stream_fingerprint,
     subsampled_dft,
 )
@@ -195,13 +196,14 @@ def _run_pool(worker, args_list: list, threads: int) -> list:
 
 
 def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: float,
-             prior: BlockStructure):
+             full: BlockStructure, prior: BlockStructure):
     """Draw A and the rows of the B_i, plant a k-sparse signal, measure it
     and add noise at snr_db; each draw comes from its own stream under `ids`.
 
-    The signal is drawn in `prior`, the structure of the window each block
-    is known to hold its energy in (its first prior.block_sizes[i]
-    coordinates), and zero-padded to the full blocks.
+    `full` is the structure of cfg.block_sizes().  The signal is drawn in
+    `prior`, the structure of the window each block is known to hold its
+    energy in (its first prior.block_sizes[i] coordinates), and zero-padded
+    to the full blocks.  The runners build both structures once per run.
 
     Returns the operators on the full blocks and on the prior's windows
     (the same rows, cut to the windows; one object when they coincide), the
@@ -209,15 +211,12 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
     against: (signal, noise floor, active blocks).
     """
     seed = cfg.master_seed
-    sizes = cfg.block_sizes()
     A = gaussian_matrix(M, cfg.N, spawn_seedseq(seed, *ids, _ROLE_A))
-    rows = np.array([
-        dft_rows(cfg.m, n, spawn_seedseq(seed, *ids, _ROLE_B, i)) for i, n in enumerate(sizes)
-    ])
-    H = dft_operator(A, rows, sizes)
-    H_prior = H if prior == H.structure else dft_operator(A, rows, sizes, prior.block_sizes)
+    row_seeds = spawn_seedseqs(seed, *ids, _ROLE_B, count=cfg.N)
+    rows = np.array([dft_rows(cfg.m, n, ss) for n, ss in zip(full.block_sizes, row_seeds)])
+    H = dft_operator(A, rows, full)
     x_true = _embed_into(
-        generate_signal(prior, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL)), H.structure
+        generate_signal(prior, k, spawn_seedseq(seed, *ids, _ROLE_SIGNAL)), full
     )
     y_clean = H.apply(x_true)
     y = add_noise(y_clean, snr_db, spawn_seedseq(seed, *ids, _ROLE_NOISE))
@@ -226,7 +225,7 @@ def _measure(cfg: ExperimentConfig, ids: tuple, M: int, k: HiSparsity, snr_db: f
         noise_floor(y_clean, snr_db, x_true),
         HiSupport.of_nonzeros(x_true).active_blocks,
     )
-    return (H, H_prior), y, truth
+    return (H, H.window(prior)), y, truth
 
 
 def _check_scenario(cfg: ExperimentConfig, scenario: str) -> None:
@@ -279,11 +278,11 @@ def _solve(cfg: ExperimentConfig, H, y, k: HiSparsity, truth, mode: str,
 
 
 def _recovery_trial(args) -> TrialRecord:
-    cfg, s, sigma, snr_db, trial = args
+    cfg, full, s, sigma, snr_db, trial = args
     M = cfg.M[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_RECOVERY, s, sigma, _snr_key(snr_db), trial)
-    (H, _), y, truth = _measure(cfg, ids, M, k, snr_db, BlockStructure(cfg.block_sizes()))
+    (H, _), y, truth = _measure(cfg, ids, M, k, snr_db, full, full)
     return _solve(
         cfg, H, y, k, truth, MODE_UNIFORM, scenario=SCENARIO_RECOVERY, s=s,
         sigma=sigma, M=M, snr_db=snr_db, trial=trial,
@@ -304,6 +303,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("the recovery grid uses a single antenna count")
     _check_rows_fit(cfg)
     sizes = cfg.block_sizes()
+    full = BlockStructure(sizes)
     skipped = []
     args = []
     for s in cfg.s_values:
@@ -319,7 +319,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
                 continue
             for snr in cfg.snr_db:
                 for trial in range(cfg.trials):
-                    args.append((cfg, s, sigma, snr, trial))
+                    args.append((cfg, full, s, sigma, snr, trial))
     for cell in skipped:
         log.warning("skipping infeasible cell %s", cell)
     records = _run_pool(_recovery_trial, args, threads)
@@ -349,13 +349,13 @@ def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
 
 
 def _detection_trial(args) -> list[TrialRecord]:
-    cfg, prior, M, snr_db, trial = args
+    cfg, full, prior, M, snr_db, trial = args
     s, sigma = cfg.s_values[0], cfg.sigma_values[0]
     k = HiSparsity.uniform(s, sigma, cfg.N)
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
     # same measurements solved twice: without and with the prior, whose
     # operator keeps each B_i's first prior.block_sizes[i] columns
-    (H, H_mixed), y, truth = _measure(cfg, ids, M, k, snr_db, prior)
+    (H, H_mixed), y, truth = _measure(cfg, ids, M, k, snr_db, full, prior)
     cell = dict(
         scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
         seed=stream_fingerprint(cfg.master_seed, *ids),
@@ -370,19 +370,19 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     """Active-block detection sweep over (M, snr); returns
     (records, summary, skipped).
 
-    The short-delay prior (see _detection_prior) is built and validated
-    once.  Each trial plants one signal inside it, measures it once, and
-    solves twice: with uniform block lengths and with every block cut to
-    its window.  Both runs share A, the B_i and the noise, so the two
+    The block structure and the short-delay prior (see _detection_prior)
+    are built, and the prior validated, once.  Each trial plants one
+    signal inside the prior, measures it once, and solves twice: with
+    uniform block lengths and with every block cut to its window.  Both runs share A, the B_i and the noise, so the two
     modes are directly comparable.
     """
     _check_scenario(cfg, SCENARIO_DETECTION)
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
     _check_rows_fit(cfg)
-    prior = _detection_prior(cfg)
+    full, prior = BlockStructure(cfg.block_sizes()), _detection_prior(cfg)
     args = [
-        (cfg, prior, M, snr, trial)
+        (cfg, full, prior, M, snr, trial)
         for M in cfg.M
         for snr in cfg.snr_db
         for trial in range(cfg.trials)

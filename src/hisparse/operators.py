@@ -56,6 +56,31 @@ class HierarchicalOperator:
         self.structure = BlockStructure(tuple(B.shape[1] for B in self.Bs))
         self.inner_rows = rows.pop()  # m
 
+    def window(self, structure: BlockStructure) -> "HierarchicalOperator":
+        """The operator on the first structure.block_sizes[i] columns of
+        each block i; self when every window is its whole block.  The
+        matrix-free form keeps the given structure as its own."""
+        if structure == self.structure:
+            return self
+        if structure.num_blocks != self.num_blocks:
+            raise DimensionError(
+                f"{structure.num_blocks} windows given for {self.num_blocks} blocks"
+            )
+        if any(w > n for w, n in zip(structure.block_sizes, self.structure.block_sizes)):
+            raise ValueError(
+                f"a window is wider than its block: {structure.block_sizes} > "
+                f"{self.structure.block_sizes}"
+            )
+        return self._window(structure)
+
+    def _window(self, structure: BlockStructure) -> "HierarchicalOperator":
+        """window for checked windows: the cut blocks, each made
+        contiguous, through the checked constructor."""
+        return HierarchicalOperator(
+            self.A,
+            [np.ascontiguousarray(B[:, :w]) for B, w in zip(self.Bs, structure.block_sizes)],
+        )
+
     @property
     def num_antennas(self) -> int:  # M
         return self.A.shape[0]
@@ -225,6 +250,10 @@ class _DFTOperator(HierarchicalOperator):
         out *= self.n / math.sqrt(self.inner_rows)
         return BlockVector(self.structure, out)
 
+    def _window(self, structure: BlockStructure) -> "_DFTOperator":
+        """The same rows on the checked windows: nothing is scanned again."""
+        return _DFTOperator(self.A, self.rows, self.n, structure)
+
     def _gather(self, cols) -> tuple[np.ndarray, np.ndarray]:
         """As HierarchicalOperator._gather, read from the scaled DFT
         entries: the same bits as the dense B_b[:, c]."""
@@ -238,29 +267,30 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
     """The operator on the mixing matrix A whose block i is the rows rows[i]
     of the lengths[i]-point DFT, scaled by 1/sqrt(m), cut to its first
     widths[i] columns (all of them when widths is None): what subsampled_dft
-    draws, given the rows dft_rows draws.
+    draws, given the rows dft_rows draws.  lengths and widths are block
+    sizes or BlockStructures; a structure is kept as the operator's, so a
+    caller that builds many operators builds it once.
 
     rows is an N x m integer array, each row ascending, distinct and in
     range.  When all lengths are one n the operator is matrix-free and no
     block is scanned for finiteness; with mixed lengths its blocks are made
-    dense by dft_block and built through HierarchicalOperator's checks."""
+    dense by dft_block and built through HierarchicalOperator's checks.
+    The windows are cut by window."""
     A = _as_matrix(A)
     rows = np.asarray(rows, dtype=np.intp)
-    lengths = tuple(int(n) for n in lengths)
-    structure = BlockStructure(lengths if widths is None else widths)
+    structure = BlockStructure.of(lengths)
+    lengths = structure.block_sizes
     N = A.shape[1]
-    if rows.ndim != 2 or rows.shape[0] != N or len(lengths) != N or structure.num_blocks != N:
-        raise DimensionError(f"need an {N} x m row array and {N} block lengths and widths")
+    if rows.ndim != 2 or rows.shape[0] != N or len(lengths) != N:
+        raise DimensionError(f"need an {N} x m row array and {N} block lengths")
     if rows.shape[1] < 1 or (np.diff(rows, axis=1) <= 0).any() or rows[:, 0].min() < 0 \
             or (rows[:, -1] >= lengths).any():
         raise ValueError("the rows of each block must be ascending, distinct and in range")
-    if any(w > n for w, n in zip(structure.block_sizes, lengths)):
-        raise ValueError(f"a window is wider than its block: {structure.block_sizes} > {lengths}")
     if len(set(lengths)) == 1:
-        return _DFTOperator(A, rows, lengths[0], structure)
-    return HierarchicalOperator(
-        A, [dft_block(r, n, w) for r, n, w in zip(rows, lengths, structure.block_sizes)]
-    )
+        H = _DFTOperator(A, rows, lengths[0], structure)
+    else:
+        H = HierarchicalOperator(A, [dft_block(r, n, n) for r, n in zip(rows, lengths)])
+    return H if widths is None else H.window(BlockStructure.of(widths))
 
 
 def kronecker_operator(A, B) -> HierarchicalOperator:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestTypes:
                 blocks, local = st.split(cols)
                 assert blocks.tolist() == [owner[g] for g in cols]
                 assert local.tolist() == [g - starts[owner[g]] for g in cols]
+
+    def test_structure_pickles_as_its_sizes(self):
+        # the pool ships structures to its workers: a copy is equal and
+        # keeps its arrays read-only
+        st = BlockStructure((3, 1, 4))
+        copy = pickle.loads(pickle.dumps(st))
+        assert copy == st and copy.owner.tolist() == st.owner.tolist()
+        assert copy.starts.tolist() == st.starts.tolist()
+        for arr in (copy.starts, copy.owner):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert BlockStructure.of(st) is st and BlockStructure.of([3, 1, 4]) == st
 
     def test_structure_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

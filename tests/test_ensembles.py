@@ -11,10 +11,13 @@ from hisparse.ensembles import (
     gaussian_matrix,
     restrict_columns,
     spawn_seedseq,
+    spawn_seedseqs,
     stream_fingerprint,
+    stream_words,
     subsampled_dft,
     zigzag,
 )
+from hisparse.harness.experiments import _SNR_INF_KEY
 from hisparse.riplab import rip_constant_exact
 
 from oracles import pair_gram_deviation
@@ -37,6 +40,65 @@ class TestSeeding:
         f1 = stream_fingerprint(7, -10, 3)
         f2 = stream_fingerprint(7, 10, 3)
         assert f1 != f2
+
+
+def _numpy_stream(seed, *ids):
+    """The stream as numpy assembles it from the int and the key."""
+    return np.random.SeedSequence(entropy=zigzag(seed), spawn_key=tuple(zigzag(i) for i in ids))
+
+
+def _states(ss):
+    """generate_state(8) of ss and of each of its first two children."""
+    return [ss.generate_state(8)] + [c.generate_state(8) for c in ss.spawn(2)]
+
+
+class TestStreamWords:
+    # spawn_seedseq hands numpy pre-assembled entropy words; a numpy that
+    # assembled them differently would change every trial, and fails here
+    SPECIAL = (0, -1, 1, 2**31, 2**32 - 1, 2**32, -(2**32), 2**64, -(2**64) - 3,
+               2**70 + 5, _SNR_INF_KEY)
+
+    def _value(self, rng):
+        if rng.random() < 0.4:
+            return self.SPECIAL[rng.integers(len(self.SPECIAL))]
+        return int(rng.integers(-1000, 1000))
+
+    def test_streams_equal_numpys_assembly(self):
+        rng = np.random.default_rng(2027)
+        for _ in range(300):
+            seed = self._value(rng)
+            ids = tuple(self._value(rng) for _ in range(rng.integers(0, 7)))
+            for got, want in zip(_states(spawn_seedseq(seed, *ids)),
+                                 _states(_numpy_stream(seed, *ids))):
+                np.testing.assert_array_equal(got, want)
+
+    def test_row_word_table_equals_per_stream_calls(self):
+        for seed, ids in ((0, ()), (5, (1,)), (-7, (2, 10, 0, 3, 1)),
+                          (2**64, (1, -3, _SNR_INF_KEY, 0, 1))):
+            table = spawn_seedseqs(seed, *ids, count=21)
+            assert len(table) == 21
+            for i, ss in enumerate(table):
+                np.testing.assert_array_equal(ss.entropy, stream_words(seed, *ids, i))
+                for got, want in zip(_states(ss), _states(_numpy_stream(seed, *ids, i))):
+                    np.testing.assert_array_equal(got, want)
+        assert spawn_seedseqs(3, 1, count=0) == []
+        with pytest.raises(ValueError, match="count"):
+            spawn_seedseqs(3, 1, count=2**31 + 1)
+
+    @pytest.mark.parametrize("args,bad", [
+        ((1, 2.5), "2.5"), ((1.9, 2), "1.9"), ((1, True), "True"), ((2.0,), "2.0"),
+        ((1, np.bool_(False)), "np.False_"), ((1, "3"), "'3'"),
+    ])
+    def test_refuses_a_non_integer_seed_or_id(self, args, bad):
+        for call in (spawn_seedseq, stream_fingerprint, stream_words,
+                     lambda *a: spawn_seedseqs(*a, count=2)):
+            with pytest.raises(TypeError, match=f"integers, got {bad}"):
+                call(*args)
+
+    def test_numpy_integers_name_their_int_stream(self):
+        want = spawn_seedseq(3, -4, 2**40).generate_state(4)
+        got = spawn_seedseq(np.uint64(3), np.int8(-4), np.int64(2**40)).generate_state(4)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestGaussianMatrix:

@@ -90,11 +90,13 @@ class TestGenerateSignal:
         # N // 2 blocks hold it in their first front_width coordinates only,
         # and the other blocks reach past them
         cfg = tiny_detection_config()
+        full = BlockStructure(cfg.block_sizes())
         prior = experiments._detection_prior(cfg)
         k = HiSparsity.uniform(2, 2, cfg.N)
         reached = False
         for trial in range(40):
-            _, _, (x, _, _) = experiments._measure(cfg, (2, 4, 0, trial), 4, k, 10.0, prior)
+            _, _, (x, _, _) = experiments._measure(cfg, (2, 4, 0, trial), 4, k, 10.0, full,
+                                                    prior)
             for i in range(cfg.N):
                 nz = np.flatnonzero(x.block(i))
                 if i < cfg.N // 2:

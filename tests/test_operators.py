@@ -403,6 +403,27 @@ class TestDftOperator:
         with pytest.raises(ValueError, match="finite"):
             dft_operator(bad, rows, lengths)
 
+    @pytest.mark.parametrize("lengths", [(16,) * 3, (16, 24, 16)])
+    def test_window_cuts_the_checked_operator(self, lengths):
+        # on either route the window has the bits of the operator built on
+        # the windows, and the matrix-free one keeps the given structure;
+        # the whole blocks are the operator itself
+        A, rows = dft_instance(2, 3, 6, 16)
+        H = dft_operator(A, rows, lengths)
+        assert H.window(BlockStructure(lengths)) is H
+        st = BlockStructure((16, 5, lengths[2] - 1))
+        W = H.window(st)
+        assert W.structure == st and W.A is H.A
+        assert (W.structure is st) == (len(set(lengths)) == 1)
+        want = dft_operator(A, rows, lengths, st.block_sizes)
+        assert [B.tobytes() for B in W.Bs] == [B.tobytes() for B in want.Bs]
+        x = random_block_vector(np.random.default_rng(8), st)
+        assert W.apply(x).tobytes() == want.apply(x).tobytes()
+        with pytest.raises(DimensionError):
+            H.window(BlockStructure((16, 5)))
+        with pytest.raises(ValueError, match="wider"):
+            H.window(BlockStructure((17, 5, 1)))
+
     @pytest.mark.parametrize("m,n", [(16, 32), (50, 200)])
     def test_shares_a_and_scans_no_block(self, monkeypatch, m, n):
         A, rows = dft_instance(3, 2, m, n)

@@ -71,10 +71,14 @@ def test_bench_pairs_writes_the_file_then_fails_on_a_failed_run(tmp_path, capsys
 def test_layer_timing_times_every_unit_of_an_instance():
     tool = _tool("layer_timing")
     assert list(tool.instances()) == ["detection-uniform", "detection-mixed", "recovery-25-20"]
-    H, y, k = tool.instances()["detection-mixed"]()
-    got = tool.time_units(H, y, k, repeat=1, number=1)
+    build = tool.instances()["detection-mixed"]
+    H, y, k = build()
+    H2, y2, _ = build()  # every build is the same instance
+    assert H2.structure == H.structure and y2.tobytes() == y.tobytes()
+    got = tool.time_units(build, repeat=1, number=1)
     assert got["support_size"] == 30 and got["hihtp_iterations"] >= 1
-    units = ("adjoint_apply", "hi_threshold", "column_indices", "refit", "hihtp_per_iteration")
+    units = ("trial_setup", "adjoint_apply", "hi_threshold", "column_indices", "refit",
+             "hihtp_per_iteration")
     assert set(got) == {"support_size", "hihtp_iterations"} | {f"{u}_us" for u in units}
     assert all(got[f"{u}_us"] > 0 for u in units)
 

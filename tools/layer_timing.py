@@ -13,11 +13,14 @@ BLAS pinned to one thread.  Three instances, each one paper-scale trial:
 - recovery-25-20: the recovery grid's cell (s, sigma) = (25, 20), M = 40,
   50 blocks of 100 columns, 50 rows each, 10 dB.
 
-For each, in microseconds per call: H.adjoint_apply(y); hi_threshold of
-the first gradient H^* y; column_indices of the support it returns; the
-refit on that support (|S| = 30 for detection, 500 for recovery); and one
-whole hihtp solve divided by its iterations (each instance stops on a
-repeated support, so every counted iteration runs).
+For each, in microseconds per call: the trial set-up (one call of the
+instance's builder, which draws A and the rows, builds the operator,
+plants, measures and noises the signal as the harness's _measure does,
+with the block structures built once outside it); H.adjoint_apply(y);
+hi_threshold of the first gradient H^* y; column_indices of the support
+it returns; the refit on that support (|S| = 30 for detection, 500 for
+recovery); and one whole hihtp solve divided by its iterations (each
+instance stops on a repeated support, so every counted iteration runs).
 
 One exact-constants unit as well: hirip_constant_exact on theorem-verify's
 costliest enumeration shape (6 blocks of 6 columns sharing one block
@@ -53,8 +56,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from hisparse import solvers  # noqa: E402
-from hisparse.blocks import HiSparsity, hi_threshold  # noqa: E402
-from hisparse.ensembles import dft_rows, gaussian_matrix, spawn_seedseq  # noqa: E402
+from hisparse.blocks import BlockStructure, HiSparsity, hi_threshold  # noqa: E402
+from hisparse.ensembles import (  # noqa: E402
+    dft_rows,
+    gaussian_matrix,
+    spawn_seedseq,
+    spawn_seedseqs,
+)
 from hisparse.harness.config import desk_recovery_grid  # noqa: E402
 from hisparse.harness.experiments import run_recovery_grid  # noqa: E402
 from hisparse.harness.signals import add_noise, generate_signal  # noqa: E402
@@ -63,23 +71,29 @@ from hisparse.riplab import hierarchical_support_count, hirip_constant_exact  # 
 
 
 def _instance(seed, M, N, m, n, s, sigma, snr_db, windows=None):
-    """(H, y, k): a planted (s, sigma)-sparse signal, measured and noised."""
-    A = gaussian_matrix(M, N, spawn_seedseq(seed, 0))
-    rows = np.array([dft_rows(m, n, spawn_seedseq(seed, 1, i)) for i in range(N)])
-    H = dft_operator(A, rows, (n,) * N, windows)
+    """The zero-argument builder of (H, y, k): a planted (s, sigma)-sparse
+    signal, measured on the windows (the whole blocks when None) and noised."""
+    full = BlockStructure((n,) * N)
+    structure = full if windows is None else BlockStructure(windows)
     k = HiSparsity.uniform(s, sigma, N)
-    y = add_noise(H.apply(generate_signal(H.structure, k, spawn_seedseq(seed, 2))),
-                  snr_db, spawn_seedseq(seed, 3))
-    return H, y, k
+
+    def build():
+        A = gaussian_matrix(M, N, spawn_seedseq(seed, 0))
+        rows = np.array([dft_rows(m, n, ss) for ss in spawn_seedseqs(seed, 1, count=N)])
+        H = dft_operator(A, rows, full).window(structure)
+        y = add_noise(H.apply(generate_signal(structure, k, spawn_seedseq(seed, 2))),
+                      snr_db, spawn_seedseq(seed, 3))
+        return H, y, k
+
+    return build
 
 
 def instances() -> dict:
     """The named paper-scale instances, each a zero-argument builder."""
     return {
-        "detection-uniform": lambda: _instance(2, 10, 20, 50, 200, 6, 5, 0.0),
-        "detection-mixed": lambda: _instance(2, 10, 20, 50, 200, 6, 5, 0.0,
-                                             (10,) * 10 + (200,) * 10),
-        "recovery-25-20": lambda: _instance(2, 40, 50, 50, 100, 25, 20, 10.0),
+        "detection-uniform": _instance(2, 10, 20, 50, 200, 6, 5, 0.0),
+        "detection-mixed": _instance(2, 10, 20, 50, 200, 6, 5, 0.0, (10,) * 10 + (200,) * 10),
+        "recovery-25-20": _instance(2, 40, 50, 50, 100, 25, 20, 10.0),
     }
 
 
@@ -98,9 +112,10 @@ def _best_us(fn, repeat: int, number: int | None) -> float:
     return min(timer.repeat(repeat, number)) / number * 1e6
 
 
-def time_units(H, y, k, repeat: int = 7, number: int | None = None) -> dict:
-    """The layer figures of one instance, in microseconds per call
-    (number None: autorange's loop count)."""
+def time_units(build, repeat: int = 7, number: int | None = None) -> dict:
+    """The layer figures of the instance build() returns, in microseconds
+    per call (number None: autorange's loop count)."""
+    H, y, k = build()
     hy = H.adjoint_apply(y)
     support = hi_threshold(hy, k)[1]
     res = solvers.hihtp(H, y, k)
@@ -110,6 +125,7 @@ def time_units(H, y, k, repeat: int = 7, number: int | None = None) -> dict:
     return {
         "support_size": support.num_entries,
         "hihtp_iterations": res.iterations,
+        "trial_setup_us": _best_us(build, repeat, number),
         "adjoint_apply_us": _best_us(lambda: H.adjoint_apply(y), repeat, number),
         "hi_threshold_us": _best_us(lambda: hi_threshold(hy, k), repeat, number),
         "column_indices_us": _best_us(lambda: support.column_indices(H.structure),
@@ -156,7 +172,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "repeat": args.repeat,
-        "units": {name: time_units(*build(), repeat=args.repeat)
+        "units": {name: time_units(build, repeat=args.repeat)
                   for name, build in instances().items()},
         "hirip_constant_exact": time_hirip(*hirip_instance(), repeat=args.repeat),
         "pool_scaling": time_pool(desk_recovery_grid(), repeat=args.repeat),
