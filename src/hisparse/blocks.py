@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, as_int
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class BlockStructure:
     owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.block_sizes)
+        sizes = tuple(as_int(n, "block sizes") for n in self.block_sizes)
         if not sizes:
             raise ValueError("a block structure needs at least one block")
         if any(n < 1 for n in sizes):
@@ -52,12 +52,6 @@ class BlockStructure:
     @classmethod
     def uniform(cls, num_blocks: int, block_len: int) -> "BlockStructure":
         return cls((block_len,) * num_blocks)
-
-    @classmethod
-    def of(cls, sizes) -> "BlockStructure":
-        """sizes itself when it is a BlockStructure, else the structure of
-        those block sizes."""
-        return sizes if isinstance(sizes, cls) else cls(tuple(sizes))
 
     @property
     def num_blocks(self) -> int:
@@ -89,9 +83,9 @@ class HiSparsity:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        sig = tuple(int(v) for v in self.sigma)
+        sig = tuple(as_int(v, "sparsity budgets") for v in self.sigma)
         object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "s", as_int(self.s, "sparsity budgets"))
         if not 1 <= self.s <= len(sig):
             raise ValueError(f"need 1 <= s <= N, got s={self.s}, N={len(sig)}")
         if any(v < 0 for v in sig):

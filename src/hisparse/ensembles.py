@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
+
+from .errors import as_int
 
 # The scaled n x n DFT matrix is cached only while it holds at most this
 # many entries (16 MiB at complex128); larger n evaluate the entries they
@@ -35,19 +36,11 @@ _POOL_WORDS = 4
 _WORD = 0xFFFFFFFF
 
 
-def _as_int(v) -> int:
-    """v as an int; TypeError for a bool or a non-integral value, which
-    must not silently name its integer twin's stream."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise TypeError(f"seeds and stream ids must be integers, got {v!r}")
-    return int(v)
-
-
 def zigzag(v: int) -> int:
     """Map a signed int to a non-negative one (0,-1,1,-2,... -> 0,1,2,3,...);
     TypeError for a bool or a non-integral value."""
     if type(v) is not int:  # the common case skips the checks
-        v = _as_int(v)
+        v = as_int(v, "seeds and stream ids")
     return (v << 1) if v >= 0 else ((-v) << 1) - 1
 
 

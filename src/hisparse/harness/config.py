@@ -23,6 +23,15 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
+# The least value of each count a trial can run with.  Recovery and
+# detection run every entry of a sweep, so each entry is checked.
+# theorem-verify draws each instance's sizes and budgets from ranges capped
+# by a field's largest entry, which must leave every range non-empty.
+_LEAST = {"trials": 1, "front_width": 1, "M": 1, "N": 1, "m": 1, "block_lengths": 1,
+          "s_values": 1, "sigma_values": 0}
+_LEAST_THEOREM = dict(_LEAST, M=2, N=2, m=2, block_lengths=2, sigma_values=1)
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo run.
@@ -92,16 +101,18 @@ class ExperimentConfig:
                 f"block_lengths must be one length or N = {self.N} of them, "
                 f"got {self.block_lengths!r}"
             )
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if min(self.M) < 1 or self.N < 1 or self.m < 1:
-            raise ValueError("dimensions must be positive")
+        theorem = self.scenario == SCENARIO_THEOREM
+        for name, least in (_LEAST_THEOREM if theorem else _LEAST).items():
+            value = getattr(self, name)
+            sweep = hasattr(value, "__len__")
+            values = value if sweep else (value,)
+            if (max(values) if theorem else min(values)) < least:
+                where = " at its largest entry" if theorem and sweep else ""
+                raise ValueError(f"{name} must be >= {least}{where}, got {value!r}")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
-        if self.front_width < 1:
-            raise ValueError(f"front_width must be >= 1, got {self.front_width}")
         # sigma = 0 plants a zero signal, and no finite SNR can scale one
-        if (self.scenario != SCENARIO_THEOREM and 0 in self.sigma_values
+        if (not theorem and 0 in self.sigma_values
                 and any(math.isfinite(snr) for snr in self.snr_db)):
             raise ValueError(
                 "sigma = 0 plants a zero signal, which cannot be measured at a finite "

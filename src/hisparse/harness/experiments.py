@@ -254,40 +254,37 @@ def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
     return out
 
 
-def _solve(cfg: ExperimentConfig, H, y, k: HiSparsity, truth, mode: str,
-           **cell) -> TrialRecord:
-    """One timed hihtp solve, scored against `truth` from _measure.
-
-    The estimate is zero-padded to the signal's blocks first.  `cell`
-    holds the record fields the trial fixes: scenario, s, sigma, M,
-    snr_db, trial and seed.
-    """
-    x_true, floor, true_active = truth
-    t0 = time.perf_counter()
-    res = hihtp(H, y, k, cfg.solver)
-    wall = (time.perf_counter() - t0) * 1e3
-    err = mse(x_true, _embed_into(res.estimate, x_true.structure))
-    return TrialRecord(
-        **cell, N=cfg.N, m=cfg.m, mode=mode, mse=err, success=err <= floor,
-        detection_rate=detection_rate(true_active, res.support.active_blocks, k.s),
-        iterations=res.iterations, wall_millis=wall,
-    )
+def _trial(cfg: ExperimentConfig, ids: tuple, full: BlockStructure, prior: BlockStructure,
+           k: HiSparsity, M: int, snr_db: float, trial: int, modes: tuple) -> list[TrialRecord]:
+    """One Monte Carlo trial: measure once (see _measure), then solve the
+    same measurements with one timed hihtp per mode -- MODE_UNIFORM on the
+    full blocks, MODE_MIXED on the prior's windows -- and score each
+    estimate, zero-padded to the full blocks, against the planted signal.
+    Returns one record per mode."""
+    ops, y, (x_true, floor, true_active) = _measure(cfg, ids, M, k, snr_db, full, prior)
+    seed = stream_fingerprint(cfg.master_seed, *ids)
+    records = []
+    for mode, H in zip(modes, ops):
+        t0 = time.perf_counter()
+        res = hihtp(H, y, k, cfg.solver)
+        wall = (time.perf_counter() - t0) * 1e3
+        err = mse(x_true, _embed_into(res.estimate, full))
+        records.append(TrialRecord(
+            scenario=cfg.scenario, s=k.s, sigma=k.sigma[0], M=M, N=cfg.N, m=cfg.m,
+            snr_db=snr_db, mode=mode, trial=trial, seed=seed, mse=err, success=err <= floor,
+            detection_rate=detection_rate(true_active, res.support.active_blocks, k.s),
+            iterations=res.iterations, wall_millis=wall,
+        ))
+    return records
 
 
 # ---------------------------------------------------------------- recovery
 
 
-def _recovery_trial(args) -> TrialRecord:
-    cfg, full, s, sigma, snr_db, trial = args
-    M = cfg.M[0]
-    k = HiSparsity.uniform(s, sigma, cfg.N)
-    ids = (_SC_RECOVERY, s, sigma, _snr_key(snr_db), trial)
-    (H, _), y, truth = _measure(cfg, ids, M, k, snr_db, full, full)
-    return _solve(
-        cfg, H, y, k, truth, MODE_UNIFORM, scenario=SCENARIO_RECOVERY, s=s,
-        sigma=sigma, M=M, snr_db=snr_db, trial=trial,
-        seed=stream_fingerprint(cfg.master_seed, *ids),
-    )
+def _recovery_trial(args) -> list[TrialRecord]:
+    cfg, full, k, snr_db, trial = args
+    ids = (_SC_RECOVERY, k.s, k.sigma[0], _snr_key(snr_db), trial)
+    return _trial(cfg, ids, full, full, k, cfg.M[0], snr_db, trial, (MODE_UNIFORM,))
 
 
 def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
@@ -317,12 +314,13 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
                      "reason": f"sigma > smallest block length {min(sizes)}"}
                 )
                 continue
+            k = HiSparsity.uniform(s, sigma, cfg.N)
             for snr in cfg.snr_db:
                 for trial in range(cfg.trials):
-                    args.append((cfg, full, s, sigma, snr, trial))
+                    args.append((cfg, full, k, snr, trial))
     for cell in skipped:
         log.warning("skipping infeasible cell %s", cell)
-    records = _run_pool(_recovery_trial, args, threads)
+    records = list(itertools.chain.from_iterable(_run_pool(_recovery_trial, args, threads)))
     return records, summarize(records), skipped
 
 
@@ -332,10 +330,7 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
 def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
     """The short-delay prior as a block structure of window lengths:
     front_width for the first N // 2 blocks, the full n_i for the rest.
-
-    ValueError when front_width exceeds one of those first blocks, or
-    when sigma exceeds a window (checked for every block, so a bad
-    configuration fails before any trial runs)."""
+    ValueError when front_width exceeds one of those first blocks."""
     n = cfg.block_sizes()
     short = n[: cfg.N // 2]
     if short and cfg.front_width > min(short):
@@ -343,52 +338,40 @@ def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
             f"front_width {cfg.front_width} exceeds the shortest short block "
             f"({min(short)} columns)"
         )
-    prior = BlockStructure((cfg.front_width,) * len(short) + n[len(short):])
-    HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N).validate_for(prior)
-    return prior
+    return BlockStructure((cfg.front_width,) * len(short) + n[len(short):])
 
 
 def _detection_trial(args) -> list[TrialRecord]:
-    cfg, full, prior, M, snr_db, trial = args
-    s, sigma = cfg.s_values[0], cfg.sigma_values[0]
-    k = HiSparsity.uniform(s, sigma, cfg.N)
+    cfg, full, prior, k, M, snr_db, trial = args
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
-    # same measurements solved twice: without and with the prior, whose
-    # operator keeps each B_i's first prior.block_sizes[i] columns
-    (H, H_mixed), y, truth = _measure(cfg, ids, M, k, snr_db, full, prior)
-    cell = dict(
-        scenario=SCENARIO_DETECTION, s=s, sigma=sigma, M=M, snr_db=snr_db, trial=trial,
-        seed=stream_fingerprint(cfg.master_seed, *ids),
-    )
-    return [
-        _solve(cfg, H, y, k, truth, MODE_UNIFORM, **cell),
-        _solve(cfg, H_mixed, y, k, truth, MODE_MIXED, **cell),
-    ]
+    return _trial(cfg, ids, full, prior, k, M, snr_db, trial, (MODE_UNIFORM, MODE_MIXED))
 
 
 def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     """Active-block detection sweep over (M, snr); returns
     (records, summary, skipped).
 
-    The block structure and the short-delay prior (see _detection_prior)
-    are built, and the prior validated, once.  Each trial plants one
-    signal inside the prior, measures it once, and solves twice: with
-    uniform block lengths and with every block cut to its window.  Both runs share A, the B_i and the noise, so the two
-    modes are directly comparable.
+    The block structure, the short-delay prior (see _detection_prior) and
+    the budget are built, and the budget validated against every window of
+    the prior, once.  Each trial plants one signal inside the prior,
+    measures it once, and solves twice: with uniform block lengths and with
+    every block cut to its window.  Both runs share A, the B_i and the
+    noise, so the two modes are directly comparable.
     """
     _check_scenario(cfg, SCENARIO_DETECTION)
     if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
         raise ValueError("block detection uses a single (s, sigma) cell")
     _check_rows_fit(cfg)
     full, prior = BlockStructure(cfg.block_sizes()), _detection_prior(cfg)
+    k = HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N)
+    k.validate_for(prior)
     args = [
-        (cfg, full, prior, M, snr, trial)
+        (cfg, full, prior, k, M, snr, trial)
         for M in cfg.M
         for snr in cfg.snr_db
         for trial in range(cfg.trials)
     ]
-    nested = _run_pool(_detection_trial, args, threads)
-    records = [r for pair in nested for r in pair]
+    records = list(itertools.chain.from_iterable(_run_pool(_detection_trial, args, threads)))
     return records, summarize(records), []
 
 

@@ -263,22 +263,25 @@ class _DFTOperator(HierarchicalOperator):
         return dft_entries(self.rows[owner].T, local, self.n, self.inner_rows), owner
 
 
-def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
+def dft_operator(A, rows, lengths) -> HierarchicalOperator:
     """The operator on the mixing matrix A whose block i is the rows rows[i]
-    of the lengths[i]-point DFT, scaled by 1/sqrt(m), cut to its first
-    widths[i] columns (all of them when widths is None): what subsampled_dft
-    draws, given the rows dft_rows draws.  lengths and widths are block
-    sizes or BlockStructures; a structure is kept as the operator's, so a
-    caller that builds many operators builds it once.
+    of the lengths[i]-point DFT, scaled by 1/sqrt(m): what subsampled_dft
+    draws, given the rows dft_rows draws.  lengths is the block sizes or a
+    BlockStructure, which is kept as the operator's, so a caller that
+    builds many operators builds it once.  H.window cuts the blocks to
+    their first columns.
 
-    rows is an N x m integer array, each row ascending, distinct and in
-    range.  When all lengths are one n the operator is matrix-free and no
-    block is scanned for finiteness; with mixed lengths its blocks are made
-    dense by dft_block and built through HierarchicalOperator's checks.
-    The windows are cut by window."""
+    rows is an N x m array of an integer dtype, each row ascending,
+    distinct and in range.  When all lengths are one n the operator is
+    matrix-free and no block is scanned for finiteness; with mixed lengths
+    its blocks are made dense by dft_block and built through
+    HierarchicalOperator's checks."""
     A = _as_matrix(A)
-    rows = np.asarray(rows, dtype=np.intp)
-    structure = BlockStructure.of(lengths)
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"DFT rows must have an integer dtype, got {rows.dtype}")
+    rows = rows.astype(np.intp, copy=False)
+    structure = lengths if isinstance(lengths, BlockStructure) else BlockStructure(tuple(lengths))
     lengths = structure.block_sizes
     N = A.shape[1]
     if rows.ndim != 2 or rows.shape[0] != N or len(lengths) != N:
@@ -287,10 +290,8 @@ def dft_operator(A, rows, lengths, widths=None) -> HierarchicalOperator:
             or (rows[:, -1] >= lengths).any():
         raise ValueError("the rows of each block must be ascending, distinct and in range")
     if len(set(lengths)) == 1:
-        H = _DFTOperator(A, rows, lengths[0], structure)
-    else:
-        H = HierarchicalOperator(A, [dft_block(r, n, n) for r, n in zip(rows, lengths)])
-    return H if widths is None else H.window(BlockStructure.of(widths))
+        return _DFTOperator(A, rows, lengths[0], structure)
+    return HierarchicalOperator(A, [dft_block(r, n, n) for r, n in zip(rows, lengths)])
 
 
 def kronecker_operator(A, B) -> HierarchicalOperator:

@@ -16,7 +16,7 @@ REMOVED = {
     "riplab": ("rip_constant_randomized", "gram_matrix"),
     "solvers": ("least_squares_on_support",),
     "blocks": ("restrict",),
-    "blocks.BlockStructure": ("runs",),
+    "blocks.BlockStructure": ("runs", "of"),
     "ensembles": ("PHASE_TABLE_MAX_ENTRIES", "_dft_phase_table"),
     "harness.signals": ("PLACEMENT_UNIFORM", "PLACEMENT_FRONT"),
     "harness.experiments": ("PLACEMENT_FRONT",),

@@ -67,13 +67,18 @@ class TestTypes:
         for arr in (copy.starts, copy.owner):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-        assert BlockStructure.of(st) is st and BlockStructure.of([3, 1, 4]) == st
 
     def test_structure_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             BlockStructure(())
         with pytest.raises(ValueError):
             BlockStructure((2, 0))
+        # a size is never truncated: a fractional or bool one is refused by
+        # name, and numpy integers are sizes like any other
+        for bad, shown in ((3.7, "3.7"), (True, "True"), (np.float64(2.0), "np.float64")):
+            with pytest.raises(TypeError, match=f"block sizes must be integers, got {shown}"):
+                BlockStructure((bad, 2))
+        assert BlockStructure((np.int64(3), np.uint8(2))).block_sizes == (3, 2)
 
     def test_sparsity_bounds(self):
         with pytest.raises(ValueError):
@@ -84,6 +89,13 @@ class TestTypes:
             HiSparsity(1, (1, -1))
         k = HiSparsity.uniform(2, 3, 4)
         assert k.sigma == (3, 3, 3, 3)
+        # neither budget is truncated
+        for s, sigma, shown in ((1.5, (2, 1), "1.5"), (1, (2.9, 1), "2.9"),
+                                (True, (2, 1), "True"), (1, (2, False), "False")):
+            with pytest.raises(TypeError, match=f"sparsity budgets must be integers, got {shown}"):
+                HiSparsity(s, sigma)
+        k = HiSparsity(np.int32(2), (np.int64(3), 1))
+        assert k == HiSparsity(2, (3, 1)) and type(k.s) is int and type(k.sigma[0]) is int
 
     def test_sparsity_validate_for_structure(self):
         st = BlockStructure((2, 2))

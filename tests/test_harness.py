@@ -300,6 +300,10 @@ def _no_trials(*args):
     # a JSON null in a whole field raised TypeError iterating or sizing None
     pytest.param("master_seed", None, id="master_seed-null"),
     pytest.param("M", None, id="M-null"),
+    # a zero block budget failed inside the first trial, in a pool worker
+    # at threads 2, and a negative in-block one was never meant to run
+    pytest.param("s_values", (0,), id="s_values-zero"),
+    pytest.param("sigma_values", (-1,), id="sigma_values-negative"),
 ])
 def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
     # refused with a message naming the field, on construction and, for a
@@ -313,6 +317,29 @@ def test_unrunnable_values_refused_up_front(monkeypatch, threads, field, value):
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             run(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s_values", (0,)),
+    ("sigma_values", (0,)),
+    ("m", 1),
+    ("N", 1),
+    ("M", (1,)),
+    ("block_lengths", 1),
+])
+def test_theorem_verify_caps_refused_up_front(monkeypatch, field, value):
+    # theorem-verify draws each instance's sizes and budgets from ranges
+    # capped by these fields; a cap that empties a range failed inside the
+    # instance sampler with numpy's "low >= high"
+    monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(desk_theorem_verify(4), **{field: value})
+    cfg = desk_theorem_verify(4)
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=field):
+        run_theorem_verify(cfg, threads=2)
+    # only the largest entry of a sweep is a cap
+    dataclasses.replace(desk_theorem_verify(4), M=(1, 3), s_values=(0, 2), sigma_values=(0, 1))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

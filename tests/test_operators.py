@@ -265,7 +265,9 @@ FFT_CASES = {
 def fft_case(name):
     M, N, m, n, widths = FFT_CASES[name]
     A, rows = dft_instance(M, N, m, n)
-    H = dft_operator(A, rows, (n,) * N, widths)
+    H = dft_operator(A, rows, (n,) * N)
+    if widths is not None:
+        H = H.window(BlockStructure(widths))
     assert isinstance(H, operators._DFTOperator)
     # the same blocks, dense
     return H, HierarchicalOperator(A, H.Bs)
@@ -345,7 +347,7 @@ class TestDftOperator:
         # apply on the scattered solution, on either route
         if case == "mixed":
             A, rows = dft_instance(3, 4, 6, 16)
-            H = dft_operator(A, rows, (16, 16, 24, 16), (16, 3, 24, 9))
+            H = dft_operator(A, rows, (16, 16, 24, 16)).window(BlockStructure((16, 3, 24, 9)))
             assert type(H) is HierarchicalOperator
         else:
             H = fft_case(case)[0]
@@ -376,7 +378,7 @@ class TestDftOperator:
         seeds = [spawn_seedseq(7, i) for i in range(3)]
         rows = np.array([dft_rows(m, n, seed) for seed, n in zip(seeds, lengths)])
         for widths in (lengths, (lengths[0], 1, lengths[2] // 2)):
-            H = dft_operator(A, rows, lengths, widths)
+            H = dft_operator(A, rows, lengths).window(BlockStructure(widths))
             draws = [np.ascontiguousarray(subsampled_dft(m, n, seed)[:, :w])
                      for seed, n, w in zip(seeds, lengths, widths)]
             for B, want in zip(H.Bs, draws):
@@ -405,9 +407,9 @@ class TestDftOperator:
 
     @pytest.mark.parametrize("lengths", [(16,) * 3, (16, 24, 16)])
     def test_window_cuts_the_checked_operator(self, lengths):
-        # on either route the window has the bits of the operator built on
-        # the windows, and the matrix-free one keeps the given structure;
-        # the whole blocks are the operator itself
+        # on either route the window's blocks are dft_block's bits on the
+        # windows, and the matrix-free one keeps the given structure; the
+        # whole blocks are the operator itself
         A, rows = dft_instance(2, 3, 6, 16)
         H = dft_operator(A, rows, lengths)
         assert H.window(BlockStructure(lengths)) is H
@@ -415,10 +417,15 @@ class TestDftOperator:
         W = H.window(st)
         assert W.structure == st and W.A is H.A
         assert (W.structure is st) == (len(set(lengths)) == 1)
-        want = dft_operator(A, rows, lengths, st.block_sizes)
-        assert [B.tobytes() for B in W.Bs] == [B.tobytes() for B in want.Bs]
+        want = [dft_block(r, n, w) for r, n, w in zip(rows, lengths, st.block_sizes)]
+        assert [B.tobytes() for B in W.Bs] == [B.tobytes() for B in want]
+        # the dense route multiplies those blocks as the checked operator
+        # does; the matrix-free one sums in another order
         x = random_block_vector(np.random.default_rng(8), st)
-        assert W.apply(x).tobytes() == want.apply(x).tobytes()
+        got, dense = W.apply(x), HierarchicalOperator(A, want).apply(x)
+        if len(set(lengths)) > 1:
+            assert got.tobytes() == dense.tobytes()
+        assert np.abs(got - dense).max() <= 1e-12 * np.linalg.norm(x.coeffs)
         with pytest.raises(DimensionError):
             H.window(BlockStructure((16, 5)))
         with pytest.raises(ValueError, match="wider"):
@@ -429,7 +436,10 @@ class TestDftOperator:
         A, rows = dft_instance(3, 2, m, n)
         scans = []
         monkeypatch.setattr(operators, "_as_matrix", lambda a: scans.append(a) or a)
-        H = dft_operator(A, rows, (n, n), (2, n))
+        st = BlockStructure((n, n))
+        H = dft_operator(A, rows, st)
+        assert H.structure is st
+        H = H.window(BlockStructure((2, n)))
         assert len(scans) == 1 and scans[0] is A and H.A is A
         assert H.structure == BlockStructure((2, n))
         monkeypatch.undo()
@@ -441,11 +451,15 @@ class TestDftOperator:
             dft_operator(A, rows[:1], (n, n))
         with pytest.raises(DimensionError):
             dft_operator(A, rows, (n,))
-        with pytest.raises(DimensionError):
-            dft_operator(A, rows, (n, n), (2,))
-        with pytest.raises(ValueError, match="wider"):
-            dft_operator(A, rows, (n, n), (2, n + 1))
         with pytest.raises(ValueError, match="ascending"):
             dft_operator(A, rows[:, ::-1], (n, n))
         with pytest.raises(ValueError, match="ascending"):
             dft_operator(A, rows, (n, int(rows[1, -1])))
+        # rows are never truncated: the dtype must be an integer one, and
+        # any integer dtype gives the same operator
+        for bad, dtype in (([[0.5, 1.7], [0, 3]], "float64"), (rows > 0, "bool")):
+            with pytest.raises(TypeError, match=f"integer dtype, got {dtype}"):
+                dft_operator(A, bad, (n, n))
+        same = dft_operator(A, rows.astype(np.uint16), (n, n))
+        assert [B.tobytes() for B in same.Bs] == [B.tobytes() for B in
+                                                 dft_operator(A, rows, (n, n)).Bs]

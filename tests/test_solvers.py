@@ -498,7 +498,7 @@ class TestTracedEntryPoints:
             A = gaussian_matrix(M, N, spawn_seedseq(900 + seed, 0))
             rows = np.array([dft_rows(m, n, spawn_seedseq(900 + seed, 1, i)) for i in range(N)])
             H_full = dft_operator(A, rows, (n,) * N)
-            H_mixed = dft_operator(A, rows, (n,) * N, windows)
+            H_mixed = H_full.window(BlockStructure(windows))
             clean = H_full.apply(generate_signal(H_full.structure, k, 950 + seed))
             rng = np.random.default_rng(seed)
             noise = rng.standard_normal(H_full.out_dim) + 1j * rng.standard_normal(H_full.out_dim)

@@ -1,7 +1,16 @@
+import dataclasses
 import importlib.util
 import json
+import os
+import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+from hisparse import solvers
+from hisparse.harness import experiments
+from hisparse.harness.config import paper_block_detection, paper_recovery_grid
 
 TOOLS = Path(__file__).parents[1] / "tools"
 
@@ -83,6 +92,42 @@ def test_layer_timing_times_every_unit_of_an_instance():
     assert all(got[f"{u}_us"] > 0 for u in units)
 
 
+@pytest.mark.parametrize("name", ["detection-uniform", "detection-mixed", "recovery-25-20"])
+def test_layer_timing_instances_are_the_harness_trials(monkeypatch, name):
+    # each builder gives, bit for bit, the (H, y) that experiments._measure
+    # gives the harness's own trial 0 of the instance's cell at master seed
+    # 2, so the tool cannot drift from the trial it times; and its solve
+    # stops on a repeated support, as the harness's did
+    tool = _tool("layer_timing")
+    measured = []
+    measure = experiments._measure
+
+    def recording(*args):
+        measured.append(measure(*args))
+        return measured[-1]
+
+    monkeypatch.setattr(experiments, "_measure", recording)
+    if name == "recovery-25-20":
+        cfg = dataclasses.replace(paper_recovery_grid(), master_seed=2, s_values=(25,),
+                                  sigma_values=(20,), trials=1)
+        records = experiments.run_recovery_grid(cfg)[0]
+    else:
+        cfg = dataclasses.replace(paper_block_detection(), master_seed=2, M=(10,),
+                                  snr_db=(0.0,), trials=1)
+        records = experiments.run_block_detection(cfg)[0]
+    monkeypatch.undo()
+    [(ops, want_y, _)] = measured
+    mode = int(name == "detection-mixed")
+    want = ops[mode]
+    H, y, k = tool.instances()[name]()
+    assert y.tobytes() == want_y.tobytes()
+    assert H.structure == want.structure and H.A.tobytes() == want.A.tobytes()
+    assert [B.tobytes() for B in H.Bs] == [B.tobytes() for B in want.Bs]
+    res = solvers.hihtp(H, y, k)
+    assert res.stop_reason == solvers.STOP_SUPPORT_REPEAT
+    assert res.iterations == records[mode].iterations
+
+
 def test_layer_timing_times_hirip_constant_exact():
     tool = _tool("layer_timing")
     H, k = tool.hirip_instance()
@@ -103,3 +148,24 @@ def test_layer_timing_times_pool_scaling():
         assert row["trials"] == 6 and row["wall_s"] > 0 and row["parent_cpu_s"] >= 0
         assert row["trials_per_s"] == 6 / row["wall_s"]
         assert row["efficiency"] == got["1"]["wall_s"] / (int(t) * row["wall_s"])
+
+
+def test_check_reference_records_then_matches_its_own_hashes(tmp_path, monkeypatch, capsys):
+    # every output-identity claim runs this tool: one detection pass
+    # recorded with --hashes, then checked --against that file.  Importing
+    # it prepends perfbench and src to sys.path and pins BLAS to one
+    # thread; both are put back afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    tool = _tool("check_reference")
+    wl = tool.workloads.WORKLOADS["detection"]
+    monkeypatch.setitem(tool.workloads.WORKLOADS, "detection",
+                        dataclasses.replace(wl, pool=(1000,)))
+    hashes = tmp_path / "hashes.json"
+    assert tool.main(["detection", "--hashes", str(hashes)]) == 0
+    assert list(json.loads(hashes.read_text())["detection"]) == ["1000"]
+    assert tool.main(["detection", "--against", str(hashes)]) == 0
+    out = capsys.readouterr().out
+    assert f"detection: 1/1 passes with the same output hash as {hashes}" in out
+    assert "passes not matching reference: 0" in out

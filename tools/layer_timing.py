@@ -4,19 +4,23 @@ operators, printed as one JSON document.
     python3 tools/layer_timing.py [--repeat 7]
 
 Imports hisparse from the `src` of the checkout holding this file, with
-BLAS pinned to one thread.  Three instances, each one paper-scale trial:
+BLAS pinned to one thread.  Three instances, each trial 0 of a paper-scale
+preset run at master seed 2:
 
-- detection-uniform and detection-mixed: the block-detection sweep's
-  operator at M = 10 (20 blocks of 200 DFT columns, 50 rows each; in the
-  mixed mode the first 10 blocks are cut to their first 10 columns),
-  budget (6, 5), 0 dB;
-- recovery-25-20: the recovery grid's cell (s, sigma) = (25, 20), M = 40,
-  50 blocks of 100 columns, 50 rows each, 10 dB.
+- detection-uniform and detection-mixed: the block-detection sweep
+  (paper_block_detection) at M = 10 and 0 dB: 20 blocks of 200 DFT
+  columns, 50 rows each, budget (6, 5), the signal planted in the
+  short-delay prior; the mixed mode solves on the prior's windows (the
+  first 10 blocks cut to their first 10 columns);
+- recovery-25-20: the recovery grid's (paper_recovery_grid) cell
+  (s, sigma) = (25, 20), M = 40, 50 blocks of 100 columns, 50 rows each,
+  10 dB.
 
 For each, in microseconds per call: the trial set-up (one call of the
-instance's builder, which draws A and the rows, builds the operator,
-plants, measures and noises the signal as the harness's _measure does,
-with the block structures built once outside it); H.adjoint_apply(y);
+instance's builder, which is the harness's own experiments._measure for
+the trial's stream ids: it draws A and the rows, builds the operator and
+its window, plants, measures and noises the signal; the block structures
+and the budget are built once outside it); H.adjoint_apply(y);
 hi_threshold of the first gradient H^* y; column_indices of the support
 it returns; the refit on that support (|S| = 30 for detection, 500 for
 recovery); and one whole hihtp solve divided by its iterations (each
@@ -53,47 +57,55 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import dataclasses  # noqa: E402
+
 import numpy as np  # noqa: E402
 
 from hisparse import solvers  # noqa: E402
 from hisparse.blocks import BlockStructure, HiSparsity, hi_threshold  # noqa: E402
-from hisparse.ensembles import (  # noqa: E402
-    dft_rows,
-    gaussian_matrix,
-    spawn_seedseq,
-    spawn_seedseqs,
+from hisparse.ensembles import gaussian_matrix, spawn_seedseq  # noqa: E402
+from hisparse.harness import experiments  # noqa: E402
+from hisparse.harness.config import (  # noqa: E402
+    desk_recovery_grid,
+    paper_block_detection,
+    paper_recovery_grid,
 )
-from hisparse.harness.config import desk_recovery_grid  # noqa: E402
 from hisparse.harness.experiments import run_recovery_grid  # noqa: E402
-from hisparse.harness.signals import add_noise, generate_signal  # noqa: E402
-from hisparse.operators import HierarchicalOperator, dft_operator  # noqa: E402
+from hisparse.operators import HierarchicalOperator  # noqa: E402
 from hisparse.riplab import hierarchical_support_count, hirip_constant_exact  # noqa: E402
 
+# every instance is trial 0 of its preset run at this master seed
+MASTER_SEED = 2
 
-def _instance(seed, M, N, m, n, s, sigma, snr_db, windows=None):
-    """The zero-argument builder of (H, y, k): a planted (s, sigma)-sparse
-    signal, measured on the windows (the whole blocks when None) and noised."""
-    full = BlockStructure((n,) * N)
-    structure = full if windows is None else BlockStructure(windows)
-    k = HiSparsity.uniform(s, sigma, N)
+
+def _instance(cfg, ids, M, snr_db, prior=None, windowed=False):
+    """The zero-argument builder of (H, y, k) for trial stream ids of cfg:
+    experiments._measure's operator on the full blocks, or on the prior's
+    windows (the full blocks when None) when windowed, and its noisy
+    measurements."""
+    full = BlockStructure(cfg.block_sizes())
+    prior = full if prior is None else prior
+    k = HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N)
 
     def build():
-        A = gaussian_matrix(M, N, spawn_seedseq(seed, 0))
-        rows = np.array([dft_rows(m, n, ss) for ss in spawn_seedseqs(seed, 1, count=N)])
-        H = dft_operator(A, rows, full).window(structure)
-        y = add_noise(H.apply(generate_signal(structure, k, spawn_seedseq(seed, 2))),
-                      snr_db, spawn_seedseq(seed, 3))
-        return H, y, k
+        (H, H_windowed), y, _ = experiments._measure(cfg, ids, M, k, snr_db, full, prior)
+        return H_windowed if windowed else H, y, k
 
     return build
 
 
 def instances() -> dict:
     """The named paper-scale instances, each a zero-argument builder."""
+    det = dataclasses.replace(paper_block_detection(), master_seed=MASTER_SEED)
+    rec = dataclasses.replace(paper_recovery_grid(), master_seed=MASTER_SEED,
+                              s_values=(25,), sigma_values=(20,))
+    det_ids = (experiments._SC_DETECTION, 10, experiments._snr_key(0.0), 0)
+    rec_ids = (experiments._SC_RECOVERY, 25, 20, experiments._snr_key(10.0), 0)
+    prior = experiments._detection_prior(det)
     return {
-        "detection-uniform": _instance(2, 10, 20, 50, 200, 6, 5, 0.0),
-        "detection-mixed": _instance(2, 10, 20, 50, 200, 6, 5, 0.0, (10,) * 10 + (200,) * 10),
-        "recovery-25-20": _instance(2, 40, 50, 50, 100, 25, 20, 10.0),
+        "detection-uniform": _instance(det, det_ids, 10, 0.0, prior),
+        "detection-mixed": _instance(det, det_ids, 10, 0.0, prior, windowed=True),
+        "recovery-25-20": _instance(rec, rec_ids, 40, 10.0),
     }
 
 
