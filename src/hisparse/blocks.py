@@ -171,6 +171,9 @@ class HiSupport:
             raise ValueError("entries must have a key exactly for each active block")
         if len(blocks) != len(set(blocks)):
             raise ValueError("duplicate active block index")
+        for b, cols in ents.items():
+            if len(cols) != len(set(cols)):
+                raise ValueError(f"duplicate coordinate index in block {b}")
         object.__setattr__(self, "active_blocks", blocks)
         object.__setattr__(self, "entries", ents)
 
@@ -211,10 +214,12 @@ class HiSupport:
     @classmethod
     def of_columns(cls, structure: BlockStructure, cols) -> "HiSupport":
         """The support covering the given distinct global coordinate
-        indices (the inverse of column_indices)."""
+        indices (the inverse of column_indices); ValueError for a repeat."""
         cols = np.sort(np.asarray(cols, dtype=np.intp))
         if cols.size and (cols[0] < 0 or cols[-1] >= structure.total_dim):
             raise IndexError(f"column indices must lie in [0, {structure.total_dim})")
+        if (cols[1:] == cols[:-1]).any():
+            raise ValueError("duplicate column index")
         return cls._of_sorted(structure, cols)
 
     @classmethod

@@ -72,6 +72,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         try:
             cfg = ExperimentConfig.from_json(args.config)
+            cfg.check()
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot load config {args.config}: {exc}")
         if cfg.scenario != args.scenario:

@@ -8,6 +8,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from ..blocks import BlockStructure, HiSparsity
 from ..solvers import SolverConfig
 
 SCENARIO_RECOVERY = "recovery-grid"
@@ -23,13 +24,24 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-# The least value of each count a trial can run with.  Recovery and
-# detection run every entry of a sweep, so each entry is checked.
-# theorem-verify draws each instance's sizes and budgets from ranges capped
-# by a field's largest entry, which must leave every range non-empty.
-_LEAST = {"trials": 1, "front_width": 1, "M": 1, "N": 1, "m": 1, "block_lengths": 1,
-          "s_values": 1, "sigma_values": 0}
-_LEAST_THEOREM = dict(_LEAST, M=2, N=2, m=2, block_lengths=2, sigma_values=1)
+# Each numeric field's (type, sweep, least, least cap): integral (int) or
+# real (float) values, cast to the type on construction; a sweep is a
+# non-empty sequence, block_lengths (None) one length or one per block.
+# Recovery and detection run every entry, each at least `least`.
+# theorem-verify caps the ranges it draws sizes and budgets from by a
+# field's largest entry, at least `least cap` to leave every range non-empty.
+_FIELDS = {
+    "M": (int, True, 1, 2),
+    "s_values": (int, True, 1, 1),
+    "sigma_values": (int, True, 0, 1),
+    "snr_db": (float, True, None, None),
+    "block_lengths": (int, None, 1, 2),
+    "N": (int, False, 1, 2),
+    "m": (int, False, 1, 2),
+    "trials": (int, False, 1, 1),
+    "front_width": (int, False, 1, 1),
+    "master_seed": (int, False, None, None),
+}
 
 
 @dataclass
@@ -66,49 +78,37 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if isinstance(self.M, numbers.Integral):
             self.M = (self.M,)
-        self.check()
-        self.M = tuple(int(v) for v in self.M)
-        self.s_values = tuple(int(v) for v in self.s_values)
-        self.sigma_values = tuple(int(v) for v in self.sigma_values)
-        self.snr_db = tuple(float(v) for v in self.snr_db)
-        if isinstance(self.block_lengths, numbers.Integral):
-            self.block_lengths = int(self.block_lengths)
-        else:
-            self.block_lengths = tuple(int(v) for v in self.block_lengths)
+        self._check_fields()  # not check(): a config may only describe a prior
+        for name, (cast, *_) in _FIELDS.items():
+            v = getattr(self, name)
+            setattr(self, name, tuple(map(cast, v)) if hasattr(v, "__len__") else cast(v))
 
-    def check(self) -> None:
-        """ValueError for a value no trial can run with.  Run on
-        construction, and by each runner before any trial, so a field set
-        after construction is refused up front as well."""
-        for name in ("M", "s_values", "sigma_values", "snr_db"):
-            value = getattr(self, name)
-            if not hasattr(value, "__len__") or len(value) == 0:
+    def _check_fields(self) -> None:
+        """ValueError for a field value no trial can run with."""
+        theorem = self.scenario == SCENARIO_THEOREM
+        for name, (cast, sweep, least, cap) in _FIELDS.items():
+            value, kind = getattr(self, name), numbers.Integral if cast is int else numbers.Real
+            if sweep and (not hasattr(value, "__len__") or len(value) == 0):
                 raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
-        kinds = dict.fromkeys(("M", "s_values", "sigma_values", "block_lengths", "N", "m",
-                               "trials", "front_width", "master_seed"), numbers.Integral)
-        kinds["snr_db"] = numbers.Real
-        for name, kind in kinds.items():
-            value = getattr(self, name)
-            # a value that is not a sequence, None included, is one value
-            values = (value,) if isinstance(value, str) or not hasattr(value, "__len__") else value
+            # a value that is not a sequence, None included, is one entry
+            many = sweep is not False and hasattr(value, "__len__")
+            values = tuple(value) if many else (value,)
             # bool is a number, and True would read as a count of one or as 1 dB
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
                 raise ValueError(f"{name} must hold {kind.__name__.lower()} numbers, got {value!r}")
+            bound = cap if theorem else least
+            if bound is not None and (max if theorem else min)(values, default=bound) < bound:
+                where = " at its largest entry" if theorem and many else ""
+                raise ValueError(f"{name} must be >= {bound}{where}, got {value!r}")
         if not isinstance(self.measured_timing, bool):
             raise ValueError(f"measured_timing must be true or false, got {self.measured_timing!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ValueError(f"output_path must be a string or null, got {self.output_path!r}")
         if not isinstance(self.block_lengths, numbers.Number) and len(self.block_lengths) != self.N:
             raise ValueError(
                 f"block_lengths must be one length or N = {self.N} of them, "
                 f"got {self.block_lengths!r}"
             )
-        theorem = self.scenario == SCENARIO_THEOREM
-        for name, least in (_LEAST_THEOREM if theorem else _LEAST).items():
-            value = getattr(self, name)
-            sweep = hasattr(value, "__len__")
-            values = value if sweep else (value,)
-            if (max(values) if theorem else min(values)) < least:
-                where = " at its largest entry" if theorem and sweep else ""
-                raise ValueError(f"{name} must be >= {least}{where}, got {value!r}")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
         # sigma = 0 plants a zero signal, and no finite SNR can scale one
@@ -119,10 +119,40 @@ class ExperimentConfig:
                 "snr_db; use snr_db = inf for sigma = 0"
             )
 
+    def check(self) -> None:
+        """ValueError for a config its scenario cannot run: the field rules
+        of construction, then its runner's.  The one gate: every runner calls
+        it before any trial, and the CLI on loading a config file."""
+        self._check_fields()
+        if self.scenario == SCENARIO_THEOREM:
+            return  # theorem-verify takes m above its block lengths by design
+        if self.scenario == SCENARIO_RECOVERY and len(self.M) != 1:
+            raise ValueError("the recovery grid uses a single antenna count")
+        if self.scenario == SCENARIO_DETECTION and (
+                len(self.s_values) != 1 or len(self.sigma_values) != 1):
+            raise ValueError("block detection uses a single (s, sigma) cell")
+        # every trial draws m distinct DFT rows from each block
+        shortest = min(self.block_sizes())
+        if self.m > shortest:
+            raise ValueError(f"m = {self.m} exceeds the shortest block length {shortest}")
+        if self.scenario == SCENARIO_DETECTION:
+            prior = BlockStructure(self.windows())
+            HiSparsity.uniform(self.s_values[0], self.sigma_values[0], self.N).validate_for(prior)
+
     def block_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.block_lengths, int):
+        if isinstance(self.block_lengths, numbers.Integral):
             return (self.block_lengths,) * self.N
         return self.block_lengths
+
+    def windows(self) -> tuple[int, ...]:
+        """The block-detection prior's window lengths: front_width for the
+        first N // 2 (short-delay) blocks, the full n_i for the rest.
+        ValueError when front_width exceeds one of those first blocks."""
+        n, half = self.block_sizes(), self.N // 2
+        if half and self.front_width > min(n[:half]):
+            raise ValueError(f"front_width {self.front_width} exceeds the shortest short block "
+                             f"({min(n[:half])} columns)")
+        return (self.front_width,) * half + n[half:]
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

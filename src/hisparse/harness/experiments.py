@@ -235,15 +235,6 @@ def _check_scenario(cfg: ExperimentConfig, scenario: str) -> None:
     cfg.check()
 
 
-def _check_rows_fit(cfg: ExperimentConfig) -> None:
-    """ValueError naming m when a block is shorter than the m distinct DFT
-    rows every recovery and detection trial draws from it.  Not part of
-    check(): theorem-verify takes m above its block lengths by design."""
-    shortest = min(cfg.block_sizes())
-    if cfg.m > shortest:
-        raise ValueError(f"m = {cfg.m} exceeds the shortest block length {shortest}")
-
-
 def _embed_into(est: BlockVector, structure: BlockStructure) -> BlockVector:
     """Zero-pad each block of est to the length of the same block of
     `structure`, which is at least as long."""
@@ -293,28 +284,20 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
     Per trial: Gaussian mixing matrix, per-block subsampled-DFT inner
     matrices, a planted hierarchically sparse signal, noise at the cell
     SNR, one hihtp solve.  Success means the signal-domain MSE is at or
-    below the per-entry measurement noise variance.
+    below the per-entry measurement noise variance.  A cell whose budget
+    HiSparsity refuses is skipped, with its message as the reason.
     """
     _check_scenario(cfg, SCENARIO_RECOVERY)
-    if len(cfg.M) != 1:
-        raise ValueError("the recovery grid uses a single antenna count")
-    _check_rows_fit(cfg)
-    sizes = cfg.block_sizes()
-    full = BlockStructure(sizes)
-    skipped = []
-    args = []
+    full = BlockStructure(cfg.block_sizes())
+    skipped, args = [], []
     for s in cfg.s_values:
         for sigma in cfg.sigma_values:
-            if s > cfg.N:
-                skipped.append({"s": s, "sigma": sigma, "reason": f"s > N = {cfg.N}"})
+            try:
+                k = HiSparsity.uniform(s, sigma, cfg.N)
+                k.validate_for(full)
+            except ValueError as exc:
+                skipped.append({"s": s, "sigma": sigma, "reason": str(exc)})
                 continue
-            if sigma > min(sizes):
-                skipped.append(
-                    {"s": s, "sigma": sigma,
-                     "reason": f"sigma > smallest block length {min(sizes)}"}
-                )
-                continue
-            k = HiSparsity.uniform(s, sigma, cfg.N)
             for snr in cfg.snr_db:
                 for trial in range(cfg.trials):
                     args.append((cfg, full, k, snr, trial))
@@ -328,17 +311,8 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
 
 
 def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
-    """The short-delay prior as a block structure of window lengths:
-    front_width for the first N // 2 blocks, the full n_i for the rest.
-    ValueError when front_width exceeds one of those first blocks."""
-    n = cfg.block_sizes()
-    short = n[: cfg.N // 2]
-    if short and cfg.front_width > min(short):
-        raise ValueError(
-            f"front_width {cfg.front_width} exceeds the shortest short block "
-            f"({min(short)} columns)"
-        )
-    return BlockStructure((cfg.front_width,) * len(short) + n[len(short):])
+    """The short-delay prior as a block structure of cfg.windows()."""
+    return BlockStructure(cfg.windows())
 
 
 def _detection_trial(args) -> list[TrialRecord]:
@@ -352,19 +326,15 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     (records, summary, skipped).
 
     The block structure, the short-delay prior (see _detection_prior) and
-    the budget are built, and the budget validated against every window of
-    the prior, once.  Each trial plants one signal inside the prior,
+    the budget, which cfg.check() has fitted to every window of the prior,
+    are built once.  Each trial plants one signal inside the prior,
     measures it once, and solves twice: with uniform block lengths and with
     every block cut to its window.  Both runs share A, the B_i and the
     noise, so the two modes are directly comparable.
     """
     _check_scenario(cfg, SCENARIO_DETECTION)
-    if len(cfg.s_values) != 1 or len(cfg.sigma_values) != 1:
-        raise ValueError("block detection uses a single (s, sigma) cell")
-    _check_rows_fit(cfg)
     full, prior = BlockStructure(cfg.block_sizes()), _detection_prior(cfg)
     k = HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N)
-    k.validate_for(prior)
     args = [
         (cfg, full, prior, k, M, snr, trial)
         for M in cfg.M

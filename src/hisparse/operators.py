@@ -267,9 +267,10 @@ def dft_operator(A, rows, lengths) -> HierarchicalOperator:
     """The operator on the mixing matrix A whose block i is the rows rows[i]
     of the lengths[i]-point DFT, scaled by 1/sqrt(m): what subsampled_dft
     draws, given the rows dft_rows draws.  lengths is the block sizes or a
-    BlockStructure, which is kept as the operator's, so a caller that
-    builds many operators builds it once.  H.window cuts the blocks to
-    their first columns.
+    BlockStructure.  When all lengths are one n, a given BlockStructure is
+    kept as the operator's, so a caller that builds many operators builds
+    it once; with mixed lengths the operator builds a new, equal one.
+    H.window cuts the blocks to their first columns.
 
     rows is an N x m array of an integer dtype, each row ascending,
     distinct and in range.  When all lengths are one n the operator is

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockStructure, HiSparsity, HiSupport
-from .errors import BudgetError
+from .errors import BudgetError, as_int
 from .operators import HierarchicalOperator, _as_matrix
 
 # Exhaustive enumeration refuses to walk more supports than this, and to
@@ -222,6 +222,7 @@ def rip_constant_exact(B: np.ndarray, order: int) -> RipEstimate:
     Orders >= 2 within the support budget stay far below that; it refuses
     order-1 calls on 7,071 or more columns."""
     B = _as_matrix(B)
+    order = as_int(order, "isometry orders")
     cols = B.shape[1]
     if not 0 <= order <= cols:
         raise ValueError(f"need 0 <= order <= {cols}, got {order}")

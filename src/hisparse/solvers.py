@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector, HiSparsity, HiSupport, hi_threshold
-from .errors import DimensionError
+from .errors import DimensionError, as_int
 from .operators import HierarchicalOperator
 
 STOP_SUPPORT_REPEAT = "support-repeat"
@@ -88,8 +88,6 @@ def _triangular_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     the rows already solved off its right-hand side.  Up to _TRI_BLOCK rows
     it is the single solve np.linalg.solve(T, b)."""
     n = T.shape[0]
-    if n <= _TRI_BLOCK:
-        return np.linalg.solve(T, b)
     x = np.empty(n, dtype=np.result_type(T, b))
     starts = range(0, n, _TRI_BLOCK)
     for lo in starts if lower else reversed(starts):
@@ -242,6 +240,7 @@ def htp_flat(
     against hihtp at budget (s, sigma) typically set
     k_total = s * max(sigma).
     """
+    k_total = as_int(k_total, "sparsity budgets")
     if not 1 <= k_total <= H.total_dim:
         raise ValueError(f"need 1 <= k_total <= {H.total_dim}, got {k_total}")
     st = H.structure

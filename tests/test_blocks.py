@@ -141,6 +141,20 @@ class TestTypes:
             assert got.dtype == np.intp
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: HiSupport((1, 1), {1: (0,)}), "duplicate active block index",
+                     id="repeated-block"),
+        # a repeated coordinate or column made column_indices repeat it, so
+        # a refit gathered the same column twice
+        pytest.param(lambda: HiSupport((0,), {0: (1, 1)}),
+                     "duplicate coordinate index in block 0", id="repeated-coordinate"),
+        pytest.param(lambda: HiSupport.of_columns(BlockStructure.uniform(2, 4), [3, 3, 5]),
+                     "duplicate column index", id="repeated-column"),
+    ])
+    def test_repeats_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @pytest.mark.parametrize(
         "sup",
         [

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +300,8 @@ def _no_trials(*args):
     pytest.param("snr_db", (True,), id="snr_db-bool"),
     # a truthy string wrote wall times into trials.csv
     pytest.param("measured_timing", "false", id="measured_timing-string"),
+    # a number failed in Path() after the config loaded
+    pytest.param("output_path", 5, id="output_path-number"),
     # a JSON null in a whole field raised TypeError iterating or sizing None
     pytest.param("master_seed", None, id="master_seed-null"),
     pytest.param("M", None, id="M-null"),
@@ -363,12 +368,44 @@ def test_m_above_shortest_block_refused_before_any_trial(monkeypatch, threads):
                                threads=threads)[0] == []
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ExperimentConfig(scenario="grid"), id="config"),
+    pytest.param(lambda: preset("grid"), id="preset"),
+])
+def test_unknown_scenario_refused(make):
+    with pytest.raises(ValueError, match="unknown scenario 'grid'"):
+        make()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run, make, overrides, message", [
+    (run_recovery_grid, tiny_grid_config, {"M": (4, 8)},
+     "the recovery grid uses a single antenna count"),
+    (run_block_detection, tiny_detection_config, {"s_values": (1, 2)},
+     r"block detection uses a single \(s, sigma\) cell"),
+    (run_block_detection, tiny_detection_config, {"sigma_values": (1, 2)},
+     r"block detection uses a single \(s, sigma\) cell"),
+])
+def test_run_rules_refused_before_any_trial(monkeypatch, threads, run, make, overrides,
+                                            message):
+    # a config that describes more than its runner runs constructs, and
+    # check(), which the runner calls first, refuses it
+    monkeypatch.setattr(experiments, "_run_pool", _no_trials)
+    cfg = make(**overrides)
+    with pytest.raises(ValueError, match=message):
+        run(cfg, threads=threads)
+
+
 def test_numpy_integer_counts_become_ints(tmp_path):
     cfg = tiny_grid_config(M=np.int64(6), s_values=np.array([1, 2]), block_lengths=np.int64(10))
     assert cfg.M == (6,) and cfg.s_values == (1, 2) and cfg.block_lengths == 10
     assert all(type(v) is int for v in cfg.M + cfg.s_values + (cfg.block_lengths,))
     cfg.to_json(tmp_path / "cfg.json")
     assert ExperimentConfig.from_json(tmp_path / "cfg.json") == cfg
+    # set after construction, a numpy length is still one length per block
+    cfg.block_lengths = np.int64(10)
+    assert cfg.block_sizes() == (10,) * cfg.N
+    cfg.check()
 
 
 class TestRecoveryGrid:
@@ -805,6 +842,29 @@ class TestCli:
             )
             seen.append((out / "trials.csv").read_bytes())
         assert seen[0] != seen[1]
+
+    @pytest.mark.parametrize("scenario, make, overrides", [
+        ("recovery-grid", tiny_grid_config, {"M": (4, 8)}),
+        # m above the shortest block, 16
+        ("block-detection", tiny_detection_config, {"m": 20}),
+    ])
+    def test_unrunnable_config_refused_on_load(self, tmp_path, scenario, make, overrides):
+        # check() runs on load: the CLI exits with the refusal, without a
+        # traceback, before it makes the output directory
+        cfg = make(**overrides)
+        with pytest.raises(ValueError) as err:
+            cfg.check()
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.to_json(cfg_path)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-m", "hisparse.harness.cli", scenario, "--config", str(cfg_path),
+             "--out", str(out)], capture_output=True, text=True, env=env, check=False)
+        assert run.returncode == 1
+        assert run.stderr == f"cannot load config {cfg_path}: {err.value}\n"
+        assert not out.exists()
 
     def test_scenario_mismatch_rejected(self, tmp_path):
         cfg = tiny_grid_config()

@@ -764,3 +764,26 @@ class TestLemma1:
 def test_malformed_input_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+_PROBE = np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: prop1_check(kronecker_operator(np.eye(3), np.eye(3)),
+                                     HiSparsity.uniform(2, 1, 3), (0,), {0: _PROBE}),
+                 ValueError, r"exactly s=2 blocks", id="prop1-active-set-size"),
+    pytest.param(lambda: prop1_check(kronecker_operator(np.eye(2), np.eye(3)),
+                                     HiSparsity.uniform(1, 1, 2), (1,), {1: _PROBE[:2]}),
+                 ValueError, "probe for block 1 has wrong length", id="prop1-probe-length"),
+    pytest.param(lambda: lemma1_check(np.eye(3), np.eye(3)[:, :2]),
+                 ValueError, "X must be square", id="lemma1-non-square"),
+    # a bool order read as 0 or 1, and a fractional one failed in comb
+    pytest.param(lambda: rip_constant_exact(np.eye(3), True),
+                 TypeError, "isometry orders must be integers", id="rip-order-bool"),
+    pytest.param(lambda: rip_constant_exact(np.eye(3), 1.5),
+                 TypeError, "isometry orders must be integers", id="rip-order-fractional"),
+])
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

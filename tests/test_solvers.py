@@ -413,6 +413,14 @@ class TestHtpFlat:
         with pytest.raises(ValueError):
             htp_flat(H, np.zeros(4), 5)
 
+    @pytest.mark.parametrize("k_total", [True, 2.0, 1.5])
+    def test_non_integer_budget_refused(self, k_total):
+        # True ran as k_total = 1, and 2.0 failed inside the first slice
+        H = identity_operator(4)
+        with pytest.raises(TypeError, match="sparsity budgets must be integers"):
+            htp_flat(H, np.ones(4), k_total)
+        assert htp_flat(H, np.ones(4), np.int64(2)).support.num_entries == 2
+
     def test_paired_with_hihtp_on_noiseless_trials(self):
         st = BlockStructure.uniform(16, 32)
         k = HiSparsity.uniform(2, 3, 16)

@@ -13,6 +13,7 @@ from hisparse.harness import experiments
 from hisparse.harness.config import paper_block_detection, paper_recovery_grid
 
 TOOLS = Path(__file__).parents[1] / "tools"
+PERFBENCH = TOOLS.parent / "perfbench"
 
 # stands in for perfbench/run.py: one report, then the exit status; the run
 # for seed FAIL_SEED fails its output checks
@@ -150,14 +151,20 @@ def test_layer_timing_times_pool_scaling():
         assert row["efficiency"] == got["1"]["wall_s"] / (int(t) * row["wall_s"])
 
 
+@pytest.mark.parametrize("name", ["bench_pairs", "check_reference", "layer_timing"])
+def test_loading_a_tool_leaves_the_process_settings_alone(monkeypatch, name):
+    # only a tool run as a script pins BLAS and puts its checkout on
+    # sys.path: an importing process, this test session included, keeps both
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    path, environ = list(sys.path), dict(os.environ)
+    _tool(name)
+    assert sys.path == path and dict(os.environ) == environ
+
+
 def test_check_reference_records_then_matches_its_own_hashes(tmp_path, monkeypatch, capsys):
     # every output-identity claim runs this tool: one detection pass
-    # recorded with --hashes, then checked --against that file.  Importing
-    # it prepends perfbench and src to sys.path and pins BLAS to one
-    # thread; both are put back afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
+    # recorded with --hashes, then checked --against that file
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     tool = _tool("check_reference")
     wl = tool.workloads.WORKLOADS["detection"]
     monkeypatch.setitem(tool.workloads.WORKLOADS, "detection",

@@ -4,16 +4,18 @@ recording in perfbench/reference.json, which is read, never rewritten.
     python3 tools/check_reference.py WORKLOAD [WORKLOAD ...] [--hashes OUT.json]
         [--against HASHES.json]
 
-Run from the root of a source checkout.  For each master seed in a
-workload's pool the pass is run once, as perfbench runs it, and checked as
-perfbench checks it: every record's success flag, detected block count and
-iteration count (theorem-verify: each bound family's worst slack) must
-match the recording, and no trial may fail.  --hashes writes the sha256
-prefix of each pass's trials.csv (report.json for theorem-verify) as
-{workload: {seed: hash}}.  --against reads such a file, written in another
-checkout, and prints per workload how many passes have the same output
-hash.  The exit status is 1 when any pass mismatches or fails, or differs
-from the --against hash.
+Run from the root of a source checkout.  As a script it puts the
+checkout's perfbench and src first on sys.path and pins BLAS to one
+thread; an importer puts perfbench on its own path and keeps its settings.
+For each master seed in a workload's pool the pass is run once, as
+perfbench runs it, and checked as perfbench checks it: every record's
+success flag, detected block count and iteration count (theorem-verify:
+each bound family's worst slack) must match the recording, and no trial
+may fail.  --hashes writes the sha256 prefix of each pass's trials.csv
+(report.json for theorem-verify) as {workload: {seed: hash}}.  --against
+reads such a file, written in another checkout, and prints per workload
+how many passes have the same output hash.  The exit status is 1 when
+any pass mismatches or fails, or differs from the --against hash.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ import os
 import sys
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-_ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(_ROOT / "perfbench"), str(_ROOT / "src")]
+if __name__ == "__main__":  # an importing process keeps its own settings
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    _ROOT = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(_ROOT / "perfbench"), str(_ROOT / "src")]
 
 import workloads  # noqa: E402
 

@@ -3,8 +3,9 @@ operators, printed as one JSON document.
 
     python3 tools/layer_timing.py [--repeat 7]
 
-Imports hisparse from the `src` of the checkout holding this file, with
-BLAS pinned to one thread.  Three instances, each trial 0 of a paper-scale
+Run as a script, it imports hisparse from the `src` of the checkout
+holding this file, with BLAS pinned to one thread; an importer keeps its
+own path and BLAS settings.  Three instances, each trial 0 of a paper-scale
 preset run at master seed 2:
 
 - detection-uniform and detection-mixed: the block-detection sweep
@@ -53,9 +54,10 @@ import time
 import timeit
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+if __name__ == "__main__":  # an importing process keeps its own settings
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dataclasses  # noqa: E402
 
