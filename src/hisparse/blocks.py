@@ -9,7 +9,6 @@ nonzero entries and block i holds at most sigma_i of them.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,122 +139,94 @@ class BlockVector:
         return float(np.linalg.norm(self.coeffs))
 
 
-@dataclass(frozen=True)
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    """values as a flat intp array: TypeError unless they are integers (a
+    float or a bool must not stand for its integer twin), IndexError unless
+    they lie in [0, bound)."""
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got {idx.dtype} values")
+    idx = idx.astype(np.intp, copy=False).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise IndexError(f"{what} must lie in [0, {bound})")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
 class HiSupport:
-    """A hierarchical support pattern: which blocks, and which coordinates
-    inside each of them.
+    """A hierarchical support pattern on a block structure: which blocks,
+    and which global columns inside them.
 
-    active_blocks is sorted; entries maps each active block to its sorted
-    within-block coordinate tuple.  Coordinates are listed even when the
-    vector value there is exactly zero, so the support cardinality produced
-    by thresholding is deterministic.
+    columns is a read-only intp array of ascending, distinct, in-range
+    global coordinates; active_blocks is ascending and holds the blocks
+    owning them plus any idle blocks, active with no columns (the sigma_i
+    = 0 winners of hi_threshold).  Columns are listed even when the vector
+    value there is exactly zero, so the support cardinality produced by
+    thresholding is deterministic.
 
-    A support built by hi_threshold, of_columns or _of_sorted also keeps the
-    read-only array of its ascending global columns and the BlockStructure
-    they index, which column_indices returns for that same structure;
-    validate_for does not re-check a support against it.  Equality and
-    hashing look at active_blocks and entries only.
+    The constructor trusts these invariants, which hi_threshold and
+    hirip_constant_exact hold by construction; of_columns, of_entries and
+    of_nonzeros check theirs.  Supports are equal when their structures,
+    active blocks and columns are; the hash reads the last two.
     """
 
+    structure: BlockStructure
+    columns: np.ndarray
     active_blocks: tuple[int, ...]
-    entries: dict[int, tuple[int, ...]]
-    _columns: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _columns_of: BlockStructure | None = field(default=None, init=False, repr=False,
-                                               compare=False)
 
     def __post_init__(self):
-        blocks = tuple(sorted(int(b) for b in self.active_blocks))
-        ents = {int(b): tuple(sorted(int(c) for c in cols))
-                for b, cols in self.entries.items()}
-        if set(ents) != set(blocks):
-            raise ValueError("entries must have a key exactly for each active block")
-        if len(blocks) != len(set(blocks)):
-            raise ValueError("duplicate active block index")
-        for b, cols in ents.items():
-            if len(cols) != len(set(cols)):
-                raise ValueError(f"duplicate coordinate index in block {b}")
-        object.__setattr__(self, "active_blocks", blocks)
-        object.__setattr__(self, "entries", ents)
+        self.columns.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, HiSupport):
+            return NotImplemented
+        return (self.active_blocks == other.active_blocks and self.structure == other.structure
+                and np.array_equal(self.columns, other.columns))
 
     def __hash__(self) -> int:
-        return hash((self.active_blocks, tuple(self.entries[b] for b in self.active_blocks)))
+        return hash((self.active_blocks, self.columns.tobytes()))
 
     @classmethod
-    def empty(cls) -> "HiSupport":
-        return cls((), {})
-
-    @classmethod
-    def _of_sorted(cls, structure: BlockStructure, cols: np.ndarray, idle=()) -> "HiSupport":
-        """The support covering the ascending, distinct, in-range global
-        coordinates cols (an intp array), plus the blocks in idle, which
-        hold none of them, as active blocks with no coordinates."""
-        counts = np.bincount(structure.owner[cols], minlength=structure.num_blocks).tolist()
-        blocks = [b for b, c in enumerate(counts) if c or b in idle]
-        return cls._canonical(structure, cols, blocks, counts)
-
-    @classmethod
-    def _canonical(cls, structure: BlockStructure, cols: np.ndarray, blocks, counts) -> "HiSupport":
-        """The support on the ascending blocks, each block b of which holds
-        the next counts[b] of the ascending global columns cols of
-        structure, an intp array that the support keeps and makes
-        read-only: canonical (keys ascending, each tuple ascending) without
-        the sorting and conversion of __post_init__."""
-        local, lo = structure.split(cols)[1].tolist(), 0
-        # block b takes local[lo : lo + counts[b]], and lo moves past them
-        entries = {b: tuple(local[lo : (lo := lo + counts[b])]) for b in blocks}
-        cols.flags.writeable = False
-        support = object.__new__(cls)
-        object.__setattr__(support, "active_blocks", tuple(entries))
-        object.__setattr__(support, "entries", entries)
-        object.__setattr__(support, "_columns", cols)
-        object.__setattr__(support, "_columns_of", structure)
-        return support
-
-    @classmethod
-    def of_columns(cls, structure: BlockStructure, cols) -> "HiSupport":
-        """The support covering the given distinct global coordinate
-        indices (the inverse of column_indices); ValueError for a repeat."""
-        cols = np.sort(np.asarray(cols, dtype=np.intp))
-        if cols.size and (cols[0] < 0 or cols[-1] >= structure.total_dim):
-            raise IndexError(f"column indices must lie in [0, {structure.total_dim})")
+    def of_columns(cls, structure: BlockStructure, cols, idle=()) -> "HiSupport":
+        """The support holding the distinct global coordinates cols, with
+        the blocks in idle active too (with no columns unless they own
+        some of cols).  TypeError for a non-integer index, IndexError for
+        one out of range, ValueError for a repeated column."""
+        cols = np.sort(_indices(cols, structure.total_dim, "column indices"))
         if (cols[1:] == cols[:-1]).any():
             raise ValueError("duplicate column index")
-        return cls._of_sorted(structure, cols)
+        idle = _indices(idle, structure.num_blocks, "block indices").tolist()
+        blocks = set(structure.owner[cols].tolist()).union(idle)
+        return cls(structure, cols, tuple(sorted(blocks)))
+
+    @classmethod
+    def of_entries(cls, structure: BlockStructure, entries) -> "HiSupport":
+        """The support holding, in each block b keyed in entries, the
+        distinct local coordinates entries[b]; a block keyed with none is
+        active and idle.  The refusals of of_columns, and ValueError for a
+        repeated coordinate."""
+        blocks = _indices(list(entries), structure.num_blocks, "block indices").tolist()
+        cols = [np.zeros(0, dtype=np.intp)]
+        for b, local in zip(blocks, entries.values()):
+            local = _indices(local, structure.block_sizes[b], f"coordinates of block {b}")
+            if len(set(local.tolist())) < local.size:
+                raise ValueError(f"duplicate coordinate index in block {b}")
+            cols.append(structure.offset(b) + local)
+        return cls.of_columns(structure, np.concatenate(cols), blocks)
 
     @classmethod
     def of_nonzeros(cls, x: BlockVector) -> "HiSupport":
         return cls.of_columns(x.structure, np.flatnonzero(x.coeffs))
 
     @property
-    def num_entries(self) -> int:
-        return sum(len(cols) for cols in self.entries.values())
-
-    def validate_for(self, structure: BlockStructure) -> None:
-        """IndexError unless every block and coordinate lies inside the
-        structure.  A support cut from structure's own columns fits it;
-        otherwise coordinates are sorted, so checking the first and the
-        last of each block covers the rest."""
-        if structure is self._columns_of:
-            return
-        for b in self.active_blocks:
-            if not 0 <= b < structure.num_blocks:
-                raise IndexError(f"block index {b} out of range")
-            cols, n = self.entries[b], structure.block_sizes[b]
-            if cols and not (0 <= cols[0] and cols[-1] < n):
-                bad = cols[0] if cols[0] < 0 else cols[-1]
-                raise IndexError(f"coordinate {bad} out of range for block {b} (size {n})")
-
-    def column_indices(self, structure: BlockStructure) -> np.ndarray:
-        """Sorted global coordinate indices covered by this support: the
-        stored read-only array when structure is the one the support was
-        built on, else a new array."""
-        self.validate_for(structure)
-        if structure is self._columns_of:
-            return self._columns
-        cols = list(map(self.entries.__getitem__, self.active_blocks))
-        counts = list(map(len, cols))
-        local = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.intp, count=sum(counts))
-        return local + structure.starts[list(self.active_blocks)].repeat(counts)
+    def entries(self) -> dict[int, tuple[int, ...]]:
+        """Each active block -> its ascending local coordinates, as a new
+        dict on every read."""
+        owner, local = self.structure.split(self.columns)
+        counts = np.bincount(owner, minlength=self.structure.num_blocks).tolist()
+        local, lo = local.tolist(), 0
+        # block b takes local[lo : lo + counts[b]], and lo moves past them
+        return {b: tuple(local[lo : (lo := lo + counts[b])]) for b in self.active_blocks}
 
 
 @functools.lru_cache(maxsize=16)
@@ -305,8 +276,7 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     to t as fill sigma -- the first sigma of a stable descending sort.
     Scores are row sums of the kept squared magnitudes in ascending
     coordinate order, as a per-block loop would add them.  The support is
-    built from the winners and keeps their kept columns, which the refit
-    reads back through column_indices.
+    the winners and their kept columns, ascending by construction.
     """
     st = x.structure
     scores, picked, slots = _block_scores(x, k)
@@ -316,8 +286,7 @@ def hi_threshold(x: BlockVector, k: HiSparsity) -> tuple[BlockVector, HiSupport]
     out = BlockVector.zeros(st)
     kept = np.concatenate(cols)  # ascending: winners are, and so is each row
     out.coeffs[kept] = x.coeffs[kept]
-    # winner b holds the next sigma_b of kept: a sigma_b = 0 winner gets ()
-    return out, HiSupport._canonical(st, kept, winners, k.sigma)
+    return out, HiSupport(st, kept, tuple(winners))
 
 
 def _block_scores(x: BlockVector, k: HiSparsity):

@@ -78,10 +78,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if isinstance(self.M, numbers.Integral):
             self.M = (self.M,)
-        self._check_fields()  # not check(): a config may only describe a prior
+        # the field rules only, not check(): a config may only describe a prior
+        for name, v in self._cast_fields().items():
+            setattr(self, name, v)
+
+    def _cast_fields(self) -> dict:
+        """The _FIELDS values, which _check_fields must pass, each cast to
+        its type (a sequence entry by entry): construction stores them and
+        to_dict writes them, so a numpy number set later writes as one."""
+        self._check_fields()
+        cast_fields = {}
         for name, (cast, *_) in _FIELDS.items():
             v = getattr(self, name)
-            setattr(self, name, tuple(map(cast, v)) if hasattr(v, "__len__") else cast(v))
+            cast_fields[name] = tuple(map(cast, v)) if hasattr(v, "__len__") else cast(v)
+        return cast_fields
 
     def _check_fields(self) -> None:
         """ValueError for a field value no trial can run with."""
@@ -155,8 +165,7 @@ class ExperimentConfig:
         return (self.front_width,) * half + n[half:]
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return {**dataclasses.asdict(self), **self._cast_fields()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -310,11 +310,6 @@ def run_recovery_grid(cfg: ExperimentConfig, threads: int = 1):
 # --------------------------------------------------------------- detection
 
 
-def _detection_prior(cfg: ExperimentConfig) -> BlockStructure:
-    """The short-delay prior as a block structure of cfg.windows()."""
-    return BlockStructure(cfg.windows())
-
-
 def _detection_trial(args) -> list[TrialRecord]:
     cfg, full, prior, k, M, snr_db, trial = args
     ids = (_SC_DETECTION, M, _snr_key(snr_db), trial)
@@ -325,7 +320,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     """Active-block detection sweep over (M, snr); returns
     (records, summary, skipped).
 
-    The block structure, the short-delay prior (see _detection_prior) and
+    The block structure, the short-delay prior (cfg.windows()) and
     the budget, which cfg.check() has fitted to every window of the prior,
     are built once.  Each trial plants one signal inside the prior,
     measures it once, and solves twice: with uniform block lengths and with
@@ -333,7 +328,7 @@ def run_block_detection(cfg: ExperimentConfig, threads: int = 1):
     noise, so the two modes are directly comparable.
     """
     _check_scenario(cfg, SCENARIO_DETECTION)
-    full, prior = BlockStructure(cfg.block_sizes()), _detection_prior(cfg)
+    full, prior = BlockStructure(cfg.block_sizes()), BlockStructure(cfg.windows())
     k = HiSparsity.uniform(cfg.s_values[0], cfg.sigma_values[0], cfg.N)
     args = [
         (cfg, full, prior, k, M, snr, trial)

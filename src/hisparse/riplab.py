@@ -282,8 +282,9 @@ def hirip_constant_exact(H: HierarchicalOperator, k: HiSparsity) -> RipEstimate:
     delta, row, examined = _max_deviation(gram, _hierarchical_batches(st, k))
     # row is ascending: its blocks in order, each block's columns ascending
     idle = [b for b, sig in enumerate(k.sigma) if sig == 0]
-    held = len(set(st.owner[row].tolist()))
-    return RipEstimate(delta, examined, HiSupport._of_sorted(st, row, idle[: k.s - held]))
+    held = sorted(set(st.owner[row].tolist()))
+    blocks = tuple(sorted(held + idle[: k.s - len(held)]))
+    return RipEstimate(delta, examined, HiSupport(st, row, blocks))
 
 
 def hirip_bound(delta_a: float, delta_bs) -> float:

@@ -121,13 +121,13 @@ def _restricted_lstsq(
 ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
     """Minimize ||y - H z|| over z supported in `support`; hy is H^* y.
 
-    Returns the support's global column indices in ascending order (the
-    support is validated once, here: IndexError when it does not fit H),
-    the minimizer's values on them (scatter them with _scatter), whether
-    the selected columns are rank deficient, and the residual y - H z
-    from H._apply_gathered, with the bits of y - H.apply of the scattered
-    minimizer.  The columns are gathered once and serve the solve and the
-    residual alike.
+    The support must be on H's block structure (DimensionError otherwise,
+    checked once, here); its columns are in range by construction.
+    Returns those columns, the minimizer's values on them (scatter them
+    with _scatter), whether the selected columns are rank deficient, and
+    the residual y - H z from H._apply_gathered, with the bits of
+    y - H.apply of the scattered minimizer.  The columns are gathered once
+    and serve the solve and the residual alike.
 
     A support with out_dim >= 2|S| solves the normal equations
     G z = (H^* y)[S], with G = H.gram(cols) built from the structure in
@@ -139,7 +139,9 @@ def _restricted_lstsq(
     rank check reports rank deficiency.  The route depends on the support
     alone (its size and its Gram matrix), so the result depends on the
     support alone, which the pursuit's cycle skip relies on."""
-    cols = support.column_indices(H.structure)
+    if support.structure != H.structure:
+        raise DimensionError("the support is on another block structure than the operator")
+    cols = support.columns
     if not cols.size:
         return cols, np.zeros(0, dtype=np.complex128), False, y
     gathered = H._gather(cols)

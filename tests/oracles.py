@@ -106,8 +106,8 @@ def hi_threshold_by_blocks(x: BlockVector, k: HiSparsity):
     entries = {}
     for i in winners.tolist():
         out.block(i)[kept[i]] = x.block(i)[kept[i]]
-        entries[i] = tuple(kept[i].tolist())
-    return out, HiSupport(tuple(entries), entries)
+        entries[i] = kept[i]
+    return out, HiSupport.of_entries(x.structure, entries)
 
 
 def pair_gram_deviation(B, i, j):
@@ -177,8 +177,7 @@ def reference_pursuit(H, y, project, refit, max_iters=50, residual_tol=1e-7):
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     y_norm = float(np.linalg.norm(y))
     x = BlockVector.zeros(H.structure)
-    support = HiSupport.empty()
-    prev_support = None
+    support = prev_support = None
     residual = y_norm
     converged = False
     stop = "max-iters"
@@ -220,5 +219,5 @@ def flat_top_k(structure: BlockStructure, k_total: int):
             out.coeffs[g] = u.coeffs[g]
             b = max(i for i in range(structure.num_blocks) if structure.offset(i) <= g)
             entries.setdefault(b, []).append(g - structure.offset(b))
-        return out, HiSupport(tuple(entries), entries)
+        return out, HiSupport.of_entries(structure, entries)
     return project

@@ -17,9 +17,11 @@ REMOVED = {
     "solvers": ("least_squares_on_support",),
     "blocks": ("restrict",),
     "blocks.BlockStructure": ("runs", "of"),
+    "blocks.HiSupport": ("_canonical", "_of_sorted", "validate_for", "column_indices", "empty",
+                         "num_entries"),
     "ensembles": ("PHASE_TABLE_MAX_ENTRIES", "_dft_phase_table"),
     "harness.signals": ("PLACEMENT_UNIFORM", "PLACEMENT_FRONT"),
-    "harness.experiments": ("PLACEMENT_FRONT",),
+    "harness.experiments": ("PLACEMENT_FRONT", "_detection_prior"),
     "harness.config.ExperimentConfig": ("short_blocks", "designated_short_blocks"),
 }
 

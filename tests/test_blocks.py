@@ -116,15 +116,16 @@ class TestTypes:
         assert x.coeffs[2] == 7.0
 
     def test_support_invariants(self):
-        with pytest.raises(ValueError):
-            HiSupport((0, 1), {0: (0,)})
-        sup = HiSupport((1, 0), {0: (2, 1), 1: (0,)})
-        assert sup.active_blocks == (0, 1)
-        assert sup.entries[0] == (1, 2)
         st = BlockStructure((3, 2))
-        assert list(sup.column_indices(st)) == [1, 2, 3]
+        sup = HiSupport.of_entries(st, {1: (0,), 0: (2, 1)})
+        assert sup.active_blocks == (0, 1)
+        assert sup.entries == {0: (1, 2), 1: (0,)}
+        assert sup.columns.dtype == np.intp and sup.columns.tolist() == [1, 2, 3]
+        assert not sup.columns.flags.writeable
+        with pytest.raises(ValueError):
+            sup.columns[0] = 0
         with pytest.raises(IndexError):
-            HiSupport((0,), {0: (5,)}).validate_for(st)
+            HiSupport.of_entries(st, {0: (5,)})
 
     def test_column_indices_match_elementwise_map(self):
         rng = np.random.default_rng(7)
@@ -136,17 +137,17 @@ class TestTypes:
                                     replace=False).tolist())
                 for b in blocks
             }
-            got = HiSupport(tuple(blocks), entries).column_indices(st)
+            sup = HiSupport.of_entries(st, entries)
             want = [st.offset(b) + c for b in blocks for c in sorted(entries[b])]
-            assert got.dtype == np.intp
-            assert got.tolist() == want
+            assert sup.columns.dtype == np.intp
+            assert sup.columns.tolist() == want
+            assert sup.active_blocks == tuple(blocks)
+            assert sup.entries == {b: tuple(sorted(entries[b])) for b in blocks}
 
     @pytest.mark.parametrize("make, message", [
-        pytest.param(lambda: HiSupport((1, 1), {1: (0,)}), "duplicate active block index",
-                     id="repeated-block"),
-        # a repeated coordinate or column made column_indices repeat it, so
-        # a refit gathered the same column twice
-        pytest.param(lambda: HiSupport((0,), {0: (1, 1)}),
+        # a repeated coordinate or column made the refit gather the same
+        # column twice
+        pytest.param(lambda: HiSupport.of_entries(BlockStructure.uniform(2, 4), {0: (1, 1)}),
                      "duplicate coordinate index in block 0", id="repeated-coordinate"),
         pytest.param(lambda: HiSupport.of_columns(BlockStructure.uniform(2, 4), [3, 3, 5]),
                      "duplicate column index", id="repeated-column"),
@@ -155,61 +156,72 @@ class TestTypes:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("make", [
+        # a float or a bool index used to be truncated to an int
+        pytest.param(lambda st: HiSupport.of_columns(st, [1.7, 5.2]), id="float-column"),
+        pytest.param(lambda st: HiSupport.of_columns(st, [True]), id="bool-column"),
+        pytest.param(lambda st: HiSupport.of_columns(st, [0], idle=[1.0]), id="float-idle"),
+        pytest.param(lambda st: HiSupport.of_entries(st, {0: (1.5, 2.9)}), id="float-coordinate"),
+        pytest.param(lambda st: HiSupport.of_entries(st, {True: (0,)}), id="bool-block"),
+        pytest.param(lambda st: HiSupport.of_entries(st, {1.0: (0,)}), id="float-block"),
+    ])
+    def test_non_integer_indices_refused(self, make):
+        with pytest.raises(TypeError, match="must be integers"):
+            make(BlockStructure.uniform(2, 4))
+
     @pytest.mark.parametrize(
         "sup",
         [
-            HiSupport((2,), {2: (0,)}),
-            HiSupport((-1,), {-1: (0,)}),
-            HiSupport((0, 1), {0: (0,), 1: (0, 2)}),
-            HiSupport((0, 1), {0: (-1, 1), 1: ()}),
+            {2: (0,)},
+            {-1: (0,)},
+            {0: (0,), 1: (0, 2)},
+            {0: (-1, 1), 1: ()},
         ],
     )
     def test_out_of_range_support_rejected(self, sup):
         st = BlockStructure((3, 2))
         with pytest.raises(IndexError):
-            sup.validate_for(st)
-        with pytest.raises(IndexError):
-            sup.column_indices(st)
+            HiSupport.of_entries(st, sup)
 
     def test_threshold_support_checked_against_another_structure(self):
-        # only the structure a support was cut from skips the range check
+        # a support is a value on its structure: the same blocks and columns
+        # on another structure make another support
         st = BlockStructure((8, 8))
         x = BlockVector.zeros(st)
         x.coeffs[[0, 15]] = 1.0, 5.0
         sup = hi_threshold(x, HiSparsity(2, (1, 1)))[1]
         assert sup.entries == {0: (0,), 1: (7,)}
-        sup.validate_for(st)
-        for call in (sup.validate_for, sup.column_indices):
-            with pytest.raises(IndexError):
-                call(BlockStructure((8, 3)))
+        assert sup == HiSupport.of_columns(BlockStructure((8, 8)), [0, 15])
+        other = HiSupport.of_columns(BlockStructure((8, 9)), [0, 15])
+        assert other.active_blocks == sup.active_blocks
+        assert other.columns.tobytes() == sup.columns.tobytes()
+        assert sup != other
 
     def test_of_columns_inverts_column_indices(self):
         st = BlockStructure((3, 2))
-        sup = HiSupport((0, 1), {0: (1, 2), 1: (0,)})
+        sup = HiSupport.of_entries(st, {0: (1, 2), 1: (0,)})
         assert HiSupport.of_columns(st, [2, 3, 1]) == sup
-        assert HiSupport.of_columns(st, sup.column_indices(st)) == sup
+        assert HiSupport.of_columns(st, sup.columns) == sup
         assert HiSupport.of_nonzeros(bv(st, [0, 1, 1], [2, 0])) == sup
-        assert HiSupport.of_columns(st, []) == HiSupport.empty()
+        assert HiSupport.of_columns(st, [3], idle=[0]) == HiSupport.of_entries(st, {0: (), 1: (0,)})
+        empty = HiSupport.of_columns(st, [])
+        assert empty == HiSupport.of_entries(st, {}) and empty.active_blocks == ()
         with pytest.raises(IndexError):
             HiSupport.of_columns(st, [5])
 
-
     def test_canonical_supports_match_validated_ones(self):
-        # hi_threshold and of_columns build their supports without the
-        # sorting constructor; they must equal (and hash as) what it builds
+        # hi_threshold builds its support without the checks; it must equal
+        # (and hash as) what of_entries checks and builds from its entries
         rng = np.random.default_rng(8)
         st = BlockStructure((4, 7, 1, 5, 7))
         for _ in range(50):
             x = BlockVector(st, rng.standard_normal(st.total_dim))
             sigma = tuple(int(rng.integers(0, n + 1)) for n in st.block_sizes)
             k = HiSparsity(int(rng.integers(1, 6)), sigma)
-            cols = rng.choice(st.total_dim, size=rng.integers(0, st.total_dim + 1), replace=False)
-            for sup in (hi_threshold(x, k)[1], HiSupport.of_columns(st, cols)):
-                want = HiSupport(sup.active_blocks, sup.entries)
-                assert sup == want and hash(sup) == hash(want)
-                assert [type(b) for b in sup.active_blocks] == [int] * len(want.active_blocks)
-                assert all(type(sup.entries[b]) is tuple for b in sup.active_blocks)
-                assert all(type(c) is int for b in sup.active_blocks for c in sup.entries[b])
+            sup = hi_threshold(x, k)[1]
+            want = HiSupport.of_entries(st, sup.entries)
+            assert sup == want and hash(sup) == hash(want)
+            assert [type(b) for b in sup.active_blocks] == [int] * len(want.active_blocks)
 
 
 class TestHiThreshold:

@@ -94,7 +94,7 @@ class TestGenerateSignal:
         # and the other blocks reach past them
         cfg = tiny_detection_config()
         full = BlockStructure(cfg.block_sizes())
-        prior = experiments._detection_prior(cfg)
+        prior = BlockStructure(cfg.windows())
         k = HiSparsity.uniform(2, 2, cfg.N)
         reached = False
         for trial in range(40):
@@ -161,7 +161,7 @@ class TestGenerateSignal:
         if placement == "front-loaded":
             cfg = tiny_detection_config(N=N, block_lengths=st.block_sizes,
                                         front_width=front_width)
-            prior = experiments._detection_prior(cfg)
+            prior = BlockStructure(cfg.windows())
             assert prior.block_sizes == (4, 4, 4, 7, 5)
         zero_active = 0
         for seed in range(60):
@@ -406,6 +406,14 @@ def test_numpy_integer_counts_become_ints(tmp_path):
     cfg.block_lengths = np.int64(10)
     assert cfg.block_sizes() == (10,) * cfg.N
     cfg.check()
+    # and numpy values set after construction are written as numbers
+    cfg.master_seed, cfg.trials = np.int64(5), np.int64(2)
+    cfg.check()
+    cfg.to_json(tmp_path / "cfg.json")
+    assert ExperimentConfig.from_json(tmp_path / "cfg.json") == cfg
+    cfg.master_seed = 5.5  # refused, not written as 5
+    with pytest.raises(ValueError, match="master_seed"):
+        cfg.to_json(tmp_path / "cfg.json")
 
 
 class TestRecoveryGrid:
@@ -780,7 +788,7 @@ class TestConfig:
 
     def test_short_blocks_default_first_half(self):
         cfg = tiny_detection_config()
-        assert experiments._detection_prior(cfg).block_sizes == (4, 4, 4, 16, 16, 16)
+        assert cfg.windows() == (4, 4, 4, 16, 16, 16)
 
     def test_explicit_block_lengths(self):
         cfg = tiny_grid_config(block_lengths=(10, 10, 10, 10, 10, 12))

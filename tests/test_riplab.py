@@ -247,9 +247,9 @@ class TestArgmaxRules:
     @pytest.mark.parametrize(
         "k, want",
         [
-            (HiSparsity(2, (0, 2, 1)), HiSupport((1, 2), {1: (1, 2), 2: (0,)})),
-            (HiSparsity(1, (0, 0, 0)), HiSupport((0,), {0: ()})),
-            (HiSparsity(3, (1, 0, 2)), HiSupport((0, 1, 2), {0: (1,), 1: (), 2: (0, 1)})),
+            (HiSparsity(2, (0, 2, 1)), {1: (1, 2), 2: (0,)}),
+            (HiSparsity(1, (0, 0, 0)), {0: ()}),
+            (HiSparsity(3, (1, 0, 2)), {0: (1,), 1: (), 2: (0, 1)}),
         ],
     )
     def test_zero_budget_blocks(self, k, want):
@@ -257,7 +257,7 @@ class TestArgmaxRules:
         H = HierarchicalOperator(*random_operator(rng, 3, 3, 4, (3, 3, 2)))
         est = hirip_constant_exact(H, k)
         assert est.supports_examined == hierarchical_support_count(H.structure, k)
-        assert est.argmax_support == want
+        assert est.argmax_support == HiSupport.of_entries(H.structure, want)
         if not any(k.sigma):
             assert est.delta == 0.0
 
@@ -265,7 +265,7 @@ class TestArgmaxRules:
         H = HierarchicalOperator(np.eye(3), (np.eye(3),) * 3)
         est = hirip_constant_exact(H, HiSparsity(2, (0, 2, 1)))
         assert est.delta == 0.0
-        assert est.argmax_support == HiSupport((0, 1), {0: (), 1: (0, 1)})
+        assert est.argmax_support == HiSupport.of_entries(H.structure, {0: (), 1: (0, 1)})
 
     def test_flat_ties_pick_first_support(self):
         est = rip_constant_exact(np.eye(5), 2)
@@ -276,7 +276,7 @@ class TestArgmaxRules:
         H = HierarchicalOperator(np.eye(3), (np.eye(3),) * 3)
         est = hirip_constant_exact(H, HiSparsity.uniform(2, 1, 3))
         assert est.delta == 0.0
-        assert est.argmax_support == HiSupport((0, 1), {0: (0,), 1: (0,)})
+        assert est.argmax_support == HiSupport.of_entries(H.structure, {0: (0,), 1: (0,)})
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
     def test_ties_across_chunks(self, chunk):
@@ -302,7 +302,8 @@ class TestArgmaxRules:
         est = hirip_constant_exact(H, k)
         assert abs(est.delta - want) <= 1e-12
         assert est.supports_examined == count
-        assert est.argmax_support == HiSupport(tuple(arg), arg)
+        want_support = HiSupport.of_entries(H.structure, arg)
+        assert est.argmax_support == want_support
         gram = _deviation_gram(H.total_dim, H.gram)
         for chunk in (1, 7, 40, 4096):
             delta, row, examined = _max_deviation(
@@ -310,9 +311,7 @@ class TestArgmaxRules:
             )
             assert abs(delta - want) <= 1e-12
             assert examined == count
-            np.testing.assert_array_equal(
-                row, HiSupport(tuple(arg), arg).column_indices(H.structure)
-            )
+            np.testing.assert_array_equal(row, want_support.columns)
 
     @pytest.mark.parametrize("chunk", [1, 5, 33, 4096])
     def test_tight_gershgorin_ties_pick_first_support(self, chunk):
@@ -330,7 +329,7 @@ class TestArgmaxRules:
         H = HierarchicalOperator(np.eye(2), (B[:, :4], B[:, 4:]))
         est = hirip_constant_exact(H, HiSparsity(2, (2, 2)))
         assert est.delta == 3.0
-        assert est.argmax_support == HiSupport((0, 1), {0: (0, 1), 1: (0, 4)})
+        assert est.argmax_support == HiSupport.of_entries(H.structure, {0: (0, 1), 1: (0, 4)})
         assert est.supports_examined == 60
 
     @pytest.mark.parametrize("tied", [False, True])

@@ -52,7 +52,7 @@ def test_hirip_matches_exhaustive_oracle(instance):
     sup = est.argmax_support
     assert len(sup.active_blocks) == k.s
     assert all(len(sup.entries[b]) == k.sigma[b] for b in sup.active_blocks)
-    sub = dense_by_entries(A, Bs)[:, sup.column_indices(H.structure)]
+    sub = dense_by_entries(A, Bs)[:, sup.columns]
     attained = np.abs(np.linalg.eigvalsh(sub.conj().T @ sub) - 1.0).max() if sub.size else 0.0
     assert abs(attained - est.delta) <= 1e-12
 

@@ -75,7 +75,7 @@ class TestLeastSquares:
         x = BlockVector.zeros(H.structure)
         x.block(1)[2] = 1.5 - 0.5j
         x.block(3)[0] = -2.0
-        sup = HiSupport((1, 3), {1: (0, 2), 3: (0, 5)})
+        sup = HiSupport.of_entries(H.structure, {1: (0, 2), 3: (0, 5)})
         z = package_refit(H, H.apply(x), sup)[0]
         assert np.linalg.norm(z.coeffs - x.coeffs) <= 1e-10
 
@@ -83,7 +83,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(3)
         A, Bs = random_operator(rng, 5, 4, 8, (3, 3, 3, 3))
         H = HierarchicalOperator(A, Bs)  # out_dim 40
-        sup = HiSupport((0, 1, 3), {0: (0, 1, 2), 1: (0, 1, 2), 3: (0, 1, 2)})
+        sup = HiSupport.of_entries(H.structure, {0: (0, 1, 2), 1: (0, 1, 2), 3: (0, 1, 2)})
         for wide in range(3):
             y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
             z = package_refit(H, y, sup)[0]
@@ -97,13 +97,29 @@ class TestLeastSquares:
 
     def test_empty_support(self):
         H = identity_operator(3)
-        z = package_refit(H, np.ones(3), HiSupport.empty())[0]
+        z = package_refit(H, np.ones(3), HiSupport.of_columns(H.structure, []))[0]
         np.testing.assert_array_equal(z.coeffs, np.zeros(3))
 
     def test_out_of_range_support_rejected(self):
+        # column 3 lies outside H: a support can only hold it on a longer
+        # structure, and the refit refuses a support on another structure
         H = identity_operator(3)
         with pytest.raises(IndexError):
-            package_refit(H, np.ones(3), HiSupport((0,), {0: (1, 3)}))
+            HiSupport.of_entries(H.structure, {0: (1, 3)})
+        with pytest.raises(DimensionError, match="another block structure"):
+            package_refit(H, np.ones(3), HiSupport.of_entries(BlockStructure((4,)), {0: (1, 3)}))
+
+    def test_support_on_another_structure_rejected(self):
+        # in range and of the same total dimension, but cut into other
+        # blocks; an equal structure object of its own is accepted
+        H = desk_operator(2, M=6, N=4, m=6, n=8)
+        y = np.ones(H.out_dim)
+        sizes = H.structure.block_sizes
+        z = package_refit(H, y, HiSupport.of_columns(BlockStructure(sizes), [0, 9]))[0]
+        assert z.coeffs.nonzero()[0].tolist() == [0, 9]
+        other = BlockStructure((sizes[0] + 1, sizes[1] - 1) + sizes[2:])
+        with pytest.raises(DimensionError, match="another block structure"):
+            package_refit(H, y, HiSupport.of_columns(other, [0, 9]))
 
 def refit_routes(monkeypatch):
     """Record whether each refit's Gram route solved it (False: lstsq)."""
@@ -241,8 +257,8 @@ class TestRefitRoutes:
         x = BlockVector.zeros(H.structure)
         x.block(0)[0] = 1.0
         res = hihtp(H, H.apply(x), HiSparsity.uniform(1, 2, 2))
-        assert res.support == HiSupport((0,), {0: (0, 1)})
-        assert H.out_dim >= 2 * res.support.num_entries
+        assert res.support == HiSupport.of_entries(H.structure, {0: (0, 1)})
+        assert H.out_dim >= 2 * res.support.columns.size
         assert routes == [False]
         assert res.stop_reason == STOP_LS_FAILURE
         assert not res.converged
@@ -287,7 +303,7 @@ class TestHihtp:
             res = hihtp(H, y, k)
             assert is_hi_sparse(res.estimate, k)
             off = np.ones(H.total_dim, dtype=bool)
-            off[res.support.column_indices(H.structure)] = False
+            off[res.support.columns] = False
             assert not res.estimate.coeffs[off].any()
 
     def test_monotone_refit(self):
@@ -404,7 +420,7 @@ class TestHtpFlat:
             y = rng.standard_normal(H.out_dim) + 1j * rng.standard_normal(H.out_dim)
             res = htp_flat(H, y, 7)
             assert np.count_nonzero(res.estimate.coeffs) <= 7
-            assert res.support.num_entries == 7
+            assert res.support.columns.size == 7
 
     def test_budget_validation(self):
         H = identity_operator(4)
@@ -419,7 +435,7 @@ class TestHtpFlat:
         H = identity_operator(4)
         with pytest.raises(TypeError, match="sparsity budgets must be integers"):
             htp_flat(H, np.ones(4), k_total)
-        assert htp_flat(H, np.ones(4), np.int64(2)).support.num_entries == 2
+        assert htp_flat(H, np.ones(4), np.int64(2)).support.columns.size == 2
 
     def test_paired_with_hihtp_on_noiseless_trials(self):
         st = BlockStructure.uniform(16, 32)
@@ -578,26 +594,6 @@ class TestCycleSkip:
         res = hihtp(H, y, k, cfg)
         assert res.stop_reason == STOP_MAX_ITERS and len(calls) < res.iterations
         self.assert_matches_reference(res, H, y, lambda u: hi_threshold(u, k), cfg)
-
-    def test_each_refit_validates_its_support_once(self, monkeypatch):
-        calls = {"validate": 0, "refit": 0}
-        validate, refit = HiSupport.validate_for, solvers._restricted_lstsq
-
-        def counting_validate(self, structure):
-            calls["validate"] += 1
-            return validate(self, structure)
-
-        def counting_refit(*args):
-            calls["refit"] += 1
-            return refit(*args)
-
-        monkeypatch.setattr(HiSupport, "validate_for", counting_validate)
-        monkeypatch.setattr(solvers, "_restricted_lstsq", counting_refit)
-        # the period-6 instance below: six refits, then the skipped tail
-        H, y = self.noisy_instance(148, 4, 8, 6, 8)
-        res = hihtp(H, y, HiSparsity.uniform(3, 2, H.num_blocks), SolverConfig())
-        assert res.stop_reason == STOP_MAX_ITERS and calls["refit"] >= 6
-        assert calls["validate"] == calls["refit"]
 
     @pytest.mark.parametrize("max_iters", [9, 10, 50])
     def test_htp_flat_period_two(self, monkeypatch, max_iters):

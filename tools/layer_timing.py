@@ -22,10 +22,10 @@ instance's builder, which is the harness's own experiments._measure for
 the trial's stream ids: it draws A and the rows, builds the operator and
 its window, plants, measures and noises the signal; the block structures
 and the budget are built once outside it); H.adjoint_apply(y);
-hi_threshold of the first gradient H^* y; column_indices of the support
-it returns; the refit on that support (|S| = 30 for detection, 500 for
-recovery); and one whole hihtp solve divided by its iterations (each
-instance stops on a repeated support, so every counted iteration runs).
+hi_threshold of the first gradient H^* y; the refit on the support it
+returns (|S| = 30 for detection, 500 for recovery); and one whole hihtp
+solve divided by its iterations (each instance stops on a repeated
+support, so every counted iteration runs).
 
 One exact-constants unit as well: hirip_constant_exact on theorem-verify's
 costliest enumeration shape (6 blocks of 6 columns sharing one block
@@ -103,7 +103,7 @@ def instances() -> dict:
                               s_values=(25,), sigma_values=(20,))
     det_ids = (experiments._SC_DETECTION, 10, experiments._snr_key(0.0), 0)
     rec_ids = (experiments._SC_RECOVERY, 25, 20, experiments._snr_key(10.0), 0)
-    prior = experiments._detection_prior(det)
+    prior = BlockStructure(det.windows())
     return {
         "detection-uniform": _instance(det, det_ids, 10, 0.0, prior),
         "detection-mixed": _instance(det, det_ids, 10, 0.0, prior, windowed=True),
@@ -137,13 +137,11 @@ def time_units(build, repeat: int = 7, number: int | None = None) -> dict:
         # a skipped cycle tail counts iterations that never ran
         raise RuntimeError("the instance's solve must not stop at max_iters")
     return {
-        "support_size": support.num_entries,
+        "support_size": support.columns.size,
         "hihtp_iterations": res.iterations,
         "trial_setup_us": _best_us(build, repeat, number),
         "adjoint_apply_us": _best_us(lambda: H.adjoint_apply(y), repeat, number),
         "hi_threshold_us": _best_us(lambda: hi_threshold(hy, k), repeat, number),
-        "column_indices_us": _best_us(lambda: support.column_indices(H.structure),
-                                      repeat, number),
         "refit_us": _best_us(lambda: solvers._restricted_lstsq(H, y, support, hy.coeffs),
                              repeat, number),
         "hihtp_per_iteration_us": _best_us(lambda: solvers.hihtp(H, y, k), repeat, number)
